@@ -225,7 +225,7 @@ def _load_sim_config(args: argparse.Namespace) -> SimConfig:
                 key, _, value = (part.strip() for part in line.partition("="))
                 if key not in field_types:
                     raise ValidationError(f"line {lineno}: unknown config field {key!r}")
-                values[key] = _coerce_config_value(key, value)
+                values[key] = _coerce_config_value(key, field_types[key], value)
     if args.seed is not None:
         values["seed"] = args.seed
     if args.population is not None:
@@ -235,30 +235,27 @@ def _load_sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)  # type: ignore[arg-type]
 
 
-def _coerce_config_value(key: str, text: str) -> object:
-    ints = {
-        "population", "initial_infected", "symptom_onset_delay", "quarantine_start_delay",
-        "quarantine_days", "infectious_period", "seed", "max_days",
-    }
-    floats = {
-        "arena_side", "bluetooth_range", "infection_radius",
-        "infection_probability", "encounter_duration_s",
-    }
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in {"true", "1", "yes"}:
+        return True
+    if lowered in {"false", "0", "no"}:
+        return False
+    raise ValueError("expected a boolean")
+
+
+# SimConfig field annotation (a string: sim.py postpones annotations) -> parser.
+_CONFIG_PARSERS = {"int": int, "float": float, "float | None": float, "bool": _parse_bool}
+
+
+def _coerce_config_value(key: str, annotation: str, text: str) -> object:
+    parse = _CONFIG_PARSERS.get(annotation)
+    if parse is None:
+        raise ValidationError(f"config field {key!r} is not settable from a file")
     try:
-        if key in ints:
-            return int(text)
-        if key in floats:
-            return float(text)
-        if key == "app_enabled":
-            lowered = text.lower()
-            if lowered in {"true", "1", "yes"}:
-                return True
-            if lowered in {"false", "0", "no"}:
-                return False
-            raise ValueError("expected a boolean")
+        return parse(text)
     except ValueError as exc:
         raise ValidationError(f"config field {key!r}: {exc}") from exc
-    raise ValidationError(f"config field {key!r} is not settable from a file")
 
 
 def _sim_rows(stats: list[DayStats], arm: str, seed: int | None) -> list[list[object]]:

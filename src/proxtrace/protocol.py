@@ -657,16 +657,23 @@ class Registry:
         """Rebuild a registry from its event log.
 
         Only successful events change state; failed ones are audit-only.
-        The rebuilt registry's state_digest matches the live one's.
+        The rebuilt registry's state_digest matches the live one's.  An
+        event that cannot be applied raises ValidationError naming its position.
         """
         registry = cls(staff_credentials, policy=policy, log_events=True)
-        for event in events:
+        for position, event in enumerate(events, start=1):
             if event.day > registry.clock.current_day:
                 registry.clock = SimClock(event.day)
             if event.outcome != "ok":
                 registry.events.append(event)
                 continue
-            registry._replay_one(event)
+            try:
+                registry._replay_one(event)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValidationError(
+                    f"event {position}: cannot replay {event.operation!r} "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         return registry
 
     def _replay_one(self, event: Event) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -146,8 +146,11 @@ def score_from_arrays(
     categories: np.ndarray, distances: np.ndarray, weights: WeightConfig
 ) -> float:
     """Numeric kernel behind assess_area, usable on plain arrays."""
+    categories = np.asarray(categories)
     if categories.size == 0:
         raise NoObservationsError("area score is undefined with zero observations")
+    if int(categories.min()) < 0:
+        raise ValidationError(f"category index {int(categories.min())} is negative")
     if int(categories.max()) >= len(weights):
         raise ValidationError(
             f"category index {int(categories.max())} has no weight (got {len(weights)} weights)"
@@ -290,11 +293,24 @@ def _mean_score(
     return float(scores.mean())
 
 
+def _map_chunks(worker: Callable[[tuple], list], total: int, jobs: int, args: tuple) -> list:
+    """worker((start, stop, *args)) over [0, total) in `jobs` chunks, results in order."""
+    if jobs <= 1 or total < 64:
+        return worker((0, total, *args))
+    bounds = np.linspace(0, total, num=jobs + 1, dtype=int)
+    tasks = [(int(lo), int(hi), *args) for lo, hi in zip(bounds, bounds[1:])]
+    out: list = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for chunk in pool.map(worker, tasks):
+            out.extend(chunk)
+    return out
+
+
 def _curve_chunk(args: tuple) -> list[CurvePoint]:
-    n, k, start, stop, weights_tuple, radius, placement, repeats, seed = args
+    start, stop, n, weights_tuple, radius, placement, repeats, seed = args
     weights = WeightConfig(weights_tuple)
     points = []
-    vectors = islice(enumerate_distributions(n, k), start, stop)
+    vectors = islice(enumerate_distributions(n, len(weights)), start, stop)
     for offset, dist in enumerate(vectors):
         index = start + offset + 1
         mean = _mean_score(
@@ -325,27 +341,17 @@ def risk_curve(
         raise ValidationError(f"need exactly {k} weights, got {len(weights)}")
     if repeats < 1:
         raise ValidationError("placement repeats must be at least 1")
-    total = count_distributions(n, k)
-    if jobs <= 1 or total < 64:
-        return _curve_chunk((n, k, 0, total, weights.weights, radius, placement, repeats, seed))
-    bounds = np.linspace(0, total, num=jobs + 1, dtype=int)
-    tasks = [
-        (n, k, int(lo), int(hi), weights.weights, radius, placement, repeats, seed)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    points: list[CurvePoint] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_curve_chunk, tasks):
-            points.extend(chunk)
-    return points
+    args = (n, weights.weights, radius, placement, repeats, seed)
+    return _map_chunks(_curve_chunk, count_distributions(n, k), jobs, args)
 
 
 def _surface_chunk(args: tuple) -> list[SurfaceCell]:
-    cells, weights_tuple, radius, placement, repeats, seed, k = args
+    start, stop, n_max, weights_tuple, radius, placement, repeats, seed = args
     weights = WeightConfig(weights_tuple)
+    cells = [(a, b) for a in range(n_max + 1) for b in range(n_max - a + 1)]
     out = []
-    for n_a, n_b in cells:
-        counts = (n_a, n_b) + (0,) * (k - 2)
+    for n_a, n_b in cells[start:stop]:
+        counts = (n_a, n_b) + (0,) * (len(weights) - 2)
         mean = _mean_score(counts, weights, (seed, n_a, n_b), placement, repeats, radius)
         out.append(SurfaceCell(n_a, n_b, mean))
     return out
@@ -371,20 +377,8 @@ def risk_surface(
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:
         raise ValidationError("surface generation needs at least two categories")
-    cells = [(a, b) for a in range(n_max + 1) for b in range(n_max - a + 1)]
-    k = len(weights)
-    if jobs <= 1 or len(cells) < 64:
-        return _surface_chunk((cells, weights.weights, radius, placement, repeats, seed, k))
-    bounds = np.linspace(0, len(cells), num=jobs + 1, dtype=int)
-    tasks = [
-        (cells[int(lo):int(hi)], weights.weights, radius, placement, repeats, seed, k)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    out: list[SurfaceCell] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_surface_chunk, tasks):
-            out.extend(chunk)
-    return out
+    args = (n_max, weights.weights, radius, placement, repeats, seed)
+    return _map_chunks(_surface_chunk, count_distributions(n_max, 2), jobs, args)
 
 
 # =========================================================================

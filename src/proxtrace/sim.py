@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .core import DeviceId, SimClock, Stage, hash_identifier
 from .errors import ValidationError
-from .protocol import NotificationKind, Registry, RegistryPolicy
+from .protocol import Registry, RegistryPolicy
 
 # Arena sizing reference: 20 individuals per 100 m^2.
 REFERENCE_DENSITY_PER_M2 = 0.2
@@ -111,11 +111,9 @@ class WorldState:
     positions: np.ndarray
     stage: np.ndarray
     infection_day: np.ndarray
-    q_start: np.ndarray
-    q_end: np.ndarray
-    detected: np.ndarray
     devices: list[DeviceId]
-    index_of: dict[DeviceId, int]
+    # The app's registry, None in the baseline arm.  It is the only owner of
+    # quarantine windows; step() reads each day's isolation mask from it.
     registry: Registry | None
 
 
@@ -191,11 +189,7 @@ def build_world(config: SimConfig) -> WorldState:
         positions=positions,
         stage=stage,
         infection_day=infection_day,
-        q_start=np.zeros(n, dtype=np.int32),
-        q_end=np.zeros(n, dtype=np.int32),
-        detected=np.zeros(n, dtype=bool),
         devices=devices,
-        index_of={device: i for i, device in enumerate(devices)},
         registry=registry,
     )
 
@@ -204,13 +198,27 @@ def build_world(config: SimConfig) -> WorldState:
 # One day
 # =========================================================================
 
-def step(world: WorldState, config: SimConfig | None = None) -> tuple[WorldState, DayStats]:
+def _isolated(world: WorldState, day: int) -> np.ndarray:
+    """Agents in quarantine on `day`, in agent order; nobody without the app."""
+    registry = world.registry
+    if registry is None:
+        return np.zeros(len(world.devices), dtype=bool)
+    return np.fromiter(
+        (registry.devices[device].status.is_quarantined(day) for device in world.devices),
+        dtype=bool,
+        count=len(world.devices),
+    )
+
+
+def step(world: WorldState) -> tuple[WorldState, DayStats]:
     """Advance one day: move, meet, transmit, detect, recover."""
-    cfg = world.config if config is None else config
+    cfg = world.config
+    registry = world.registry
     n = cfg.population
     day = world.day
-    isolated = (world.q_start <= day) & (day < world.q_end)
-    free = ~isolated
+    if registry is not None:
+        registry.advance_clock(SimClock(day))
+    free = ~_isolated(world, day)
 
     # Movement: one draw per agent per day regardless of quarantine, so the
     # stream is identical across arms; only free agents actually move.
@@ -221,7 +229,7 @@ def step(world: WorldState, config: SimConfig | None = None) -> tuple[WorldState
     free_idx = np.flatnonzero(free)
     new_targets = np.empty(0, dtype=np.int64)
     if free_idx.size >= 2:
-        radius = cfg.bluetooth_range if cfg.app_enabled else cfg.infection_radius
+        radius = cfg.bluetooth_range if registry is not None else cfg.infection_radius
         tree = cKDTree(world.positions[free_idx])
         local_pairs = tree.query_pairs(r=radius, output_type="ndarray")
         if local_pairs.size:
@@ -230,9 +238,7 @@ def step(world: WorldState, config: SimConfig | None = None) -> tuple[WorldState
             deltas = world.positions[ii] - world.positions[jj]
             dist = np.hypot(deltas[:, 0], deltas[:, 1])
 
-            if cfg.app_enabled and world.registry is not None:
-                registry = world.registry
-                registry.advance_clock(SimClock(day))
+            if registry is not None:
                 devices = world.devices
                 for a, b, d in zip(ii.tolist(), jj.tolist(), dist.tolist()):
                     registry.record_encounter(devices[a], devices[b], d)
@@ -255,43 +261,28 @@ def step(world: WorldState, config: SimConfig | None = None) -> tuple[WorldState
     world.stage[new_targets] = _I
     world.infection_day[new_targets] = day
 
-    # Detection: newly symptomatic agents report through the protocol.
-    if cfg.app_enabled and world.registry is not None:
+    # Detection: newly symptomatic agents report through the protocol, whose
+    # cascade quarantines the reporter and everyone traced.  infection_day is
+    # set once per agent, so each agent comes due on exactly one day.
+    if registry is not None:
         lag = cfg.symptom_onset_delay + cfg.quarantine_start_delay
-        due = np.flatnonzero(
-            (world.infection_day >= 0)
-            & (world.infection_day + lag == day)
-            & ~world.detected
-        )
-        if due.size:
-            registry = world.registry
-            registry.advance_clock(SimClock(day))
-            clock = SimClock(day)
-            for idx in due.tolist():
-                world.detected[idx] = True
-                device = world.devices[idx]
-                otc = registry.issue_otc(_STAFF_CREDENTIAL)
-                notes = registry.update_status(otc.code, device, Stage.INFECTED, clock)
-                to_isolate = [idx]
-                for note in notes:
-                    if note.kind is NotificationKind.CONTACT_AT_RISK:
-                        to_isolate.append(world.index_of[note.recipient])
-                for agent in to_isolate:
-                    end = day + 1 + cfg.quarantine_days
-                    if end > world.q_end[agent]:
-                        world.q_start[agent] = day + 1
-                        world.q_end[agent] = end
+        due = np.flatnonzero((world.infection_day >= 0) & (world.infection_day + lag == day))
+        for idx in due.tolist():
+            otc = registry.issue_otc(_STAFF_CREDENTIAL)
+            registry.update_status(otc.code, world.devices[idx], Stage.INFECTED)
 
     # Recovery at end of day: the infectious window is exactly
     # `infectious_period` full days after the infection day.
     recovered = (world.stage == _I) & (day - world.infection_day >= cfg.infectious_period)
     world.stage[recovered] = _R
 
+    # Read after detection: an agent traced again today has its window
+    # replaced by one starting tomorrow, so it is not counted today.
     stats = DayStats(
         day=day,
         new_infections=int(new_targets.size),
         cumulative_infections=int(np.count_nonzero(world.stage != _S)),
-        quarantined_count=int(np.count_nonzero((world.q_start <= day) & (day < world.q_end))),
+        quarantined_count=int(np.count_nonzero(_isolated(world, day))),
         susceptible_count=int(np.count_nonzero(world.stage == _S)),
     )
     world.day = day + 1

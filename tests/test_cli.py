@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, manifests, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,9 +9,10 @@ import sys
 
 import pytest
 
-from proxtrace.cli import main
+from proxtrace.cli import _build_parser, _load_sim_config, main
 from proxtrace.core import SimClock, Stage, write_contact_graph
 from proxtrace.protocol import Registry, write_event_log
+from proxtrace.sim import SimConfig
 from proxtrace.tracing import trace_co_contacts
 
 from conftest import contacts, device
@@ -216,6 +218,37 @@ def test_simulate_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+# one valid, non-default value per SimConfig field, as written in a config file
+CONFIG_FILE_VALUES = {
+    "population": ("50", 50),
+    "initial_infected": ("2", 2),
+    "arena_side": ("30.5", 30.5),
+    "bluetooth_range": ("12.5", 12.5),
+    "infection_radius": ("1.5", 1.5),
+    "infection_probability": ("0.25", 0.25),
+    "symptom_onset_delay": ("3", 3),
+    "quarantine_start_delay": ("1", 1),
+    "quarantine_days": ("7", 7),
+    "infectious_period": ("4", 4),
+    "app_enabled": ("no", False),
+    "seed": ("11", 11),
+    "max_days": ("9", 9),
+    "encounter_duration_s": ("120", 120.0),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)])
+def test_every_config_field_is_settable_from_a_file(tmp_path, name):
+    text, expected = CONFIG_FILE_VALUES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    args = _build_parser().parse_args(["simulate", "--config", str(cfg), "--out", "unused.csv"])
+    value = getattr(_load_sim_config(args), name)
+    assert value == expected
+    assert type(value) is type(expected)
+    assert value != getattr(SimConfig(), name)
+
+
 def test_simulate_cli_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("population = 50\nseed = 1\nmax_days = 6\n")
@@ -249,6 +282,25 @@ def test_replay_matches_live_digest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "digest.txt.manifest.json").read_text())
     assert manifest["command"] == "replay"
     assert manifest["outputs"][0]["sha256"] == sha256(out)
+
+
+@pytest.mark.parametrize(
+    "details",
+    [{"code": "deadbeef", "status": "infected"}, {"status": "infected"}],
+    ids=["never-issued-code", "missing-code-key"],
+)
+def test_replay_tampered_log_exits_one(tmp_path, capsys, details):
+    reg = Registry(["clinic"], seed=2)
+    person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
+    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
+    assert reg.events[3].operation == "status_updated"
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events[:3] + [dataclasses.replace(reg.events[3], details=details)], log)
+
+    assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: event 4: cannot replay 'status_updated'")
+    assert "KeyError" in err
 
 
 # -------------------------------------------------------------------------

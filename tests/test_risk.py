@@ -116,6 +116,8 @@ def test_observation_validation():
 def test_category_without_weight_rejected():
     with pytest.raises(ValidationError):
         assess_area(area([5], [1.0]), DEFAULT_WEIGHTS)
+    with pytest.raises(ValidationError, match="negative"):
+        score_from_arrays([-1], [1.0], DEFAULT_WEIGHTS)
 
 
 def test_weight_config_validation():
@@ -357,8 +359,9 @@ def test_surface_monotone_in_top_category_at_fixed_total():
 
 
 def test_surface_parallel_matches_serial():
-    serial = risk_surface(9, seed=6, repeats=6, jobs=1)
-    parallel = risk_surface(9, seed=6, repeats=6, jobs=2)
+    # n_max=10 gives 66 cells, enough to reach the process pool
+    serial = risk_surface(10, seed=6, repeats=6, jobs=1)
+    parallel = risk_surface(10, seed=6, repeats=6, jobs=2)
     assert serial == parallel
 
 

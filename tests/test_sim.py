@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from proxtrace.core import Stage
 from proxtrace.errors import ValidationError
 from proxtrace.sim import (
+    _STAFF_CREDENTIAL,
     CompareResult,
     DayStats,
     SimConfig,
@@ -174,13 +176,22 @@ def test_detection_starts_quarantine_the_day_after_symptoms():
 
 
 def test_quarantined_agents_do_not_move():
+    # quarantine goes through the registry: a verified positive report on
+    # day 0, before any contact exists, isolates exactly the reporter from
+    # day 1 on
     cfg = SimConfig(population=120, seed=5, max_days=20, app_enabled=True)
     world = build_world(cfg)
-    world.q_start[:60] = 0
-    world.q_end[:60] = 100
+    registry = world.registry
+    assert registry is not None
+    for device in world.devices[:60]:
+        otc = registry.issue_otc(_STAFF_CREDENTIAL)
+        registry.update_status(otc.code, device, Stage.INFECTED)
+    world, stats = step(world)
+    assert stats.quarantined_count == 0
     frozen_before = world.positions[:60].copy()
     moving_before = world.positions[60:].copy()
-    world, _ = step(world)
+    world, stats = step(world)
+    assert stats.quarantined_count == 60
     assert np.array_equal(world.positions[:60], frozen_before)
     assert not np.array_equal(world.positions[60:], moving_before)
 
