@@ -45,6 +45,7 @@ from .errors import (
     AuthorizationError,
     InvalidOtcError,
     OtcReplayError,
+    ProxTraceError,
     UnknownDeviceError,
     ValidationError,
 )
@@ -57,7 +58,7 @@ from .risk import (
     assess_area,
     classify,
 )
-from .tracing import CoContactList, trace_co_contacts
+from .tracing import TRACE_LOOKBACK_DAYS, CoContactList, trace_co_contacts
 
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
@@ -149,45 +150,73 @@ EVENT_LOG_HEADER = ("day", "operation", "actor_digest", "outcome", "details")
 # =========================================================================
 
 class _ContactStore:
-    """Mutable contact graph: owner -> day -> peer -> [min_dist, total_dur].
+    """Mutable contact graph on device handles.
 
-    The registry owns exactly one of these; immutable ContactList views are
-    materialized on demand so tracing and serialization see value types.
+    owner handle -> day -> peer handle -> [min_dist, total_dur].  The
+    registry assigns each device a dense int handle at registration and
+    shares its handle -> DeviceId list with the store; handles turn back
+    into DeviceIds only at the boundaries (contact lists and digest rows).
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[DeviceId, dict[int, dict[DeviceId, list[float]]]] = {}
+    def __init__(self, ids: list[DeviceId]) -> None:
+        self._ids = ids
+        self._entries: list[dict[int, dict[int, list[float]]]] = []
 
-    def add(self, owner: DeviceId, peer: DeviceId, day: int, distance: float, duration: float) -> None:
-        days = self._entries.setdefault(owner, {})
-        peers = days.setdefault(day, {})
-        slot = peers.get(peer)
+    def add_owner(self) -> None:
+        self._entries.append({})
+
+    def add_pair(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
+        """Book one encounter on both endpoints: min distance, summed duration.
+
+        The two endpoints share one slot, so a repeat updates both records.
+        """
+        left_peers = self._entries[left].setdefault(day, {})
+        slot = left_peers.get(right)
         if slot is None:
-            peers[peer] = [distance, duration]
+            slot = [distance, duration]
+            left_peers[right] = slot
+            self._entries[right].setdefault(day, {})[left] = slot
         else:
-            slot[0] = min(slot[0], distance)
+            if distance < slot[0]:
+                slot[0] = distance
             slot[1] += duration
 
-    def window_peers(self, owner: DeviceId, first_day: int, last_day: int) -> Iterator[DeviceId]:
-        days = self._entries.get(owner)
-        if not days:
-            return
+    def on_day(self, owner: int, day: int) -> dict[int, list[float]]:
+        return self._entries[owner].get(day, {})
+
+    def window_peers(self, owner: int, first_day: int, last_day: int) -> Iterator[int]:
+        days = self._entries[owner]
         for day in range(first_day, last_day + 1):
             yield from days.get(day, ())
 
-    def contact_list(self, owner: DeviceId) -> ContactList:
-        records = []
-        for day, peers in self._entries.get(owner, {}).items():
-            for peer, (distance, duration) in peers.items():
-                records.append(ContactRecord(peer=peer, day=day, distance=distance, duration=duration))
-        return ContactList(owner, tuple(records))
+    def contact_list(
+        self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
+    ) -> ContactList:
+        """The owner's records as a value type; only those in `by_day` when given.
+
+        Records are built in ContactList order, (day, peer digest), so the
+        list's normalising sort is a single linear pass.
+        """
+        ids = self._ids
+        if by_day is None:
+            by_day = self._entries[owner]
+        records = tuple(
+            ContactRecord(peer=ids[peer], day=day, distance=distance, duration=duration)
+            for day in sorted(by_day)
+            for peer, (distance, duration) in sorted(
+                by_day[day].items(), key=lambda item: ids[item[0]].digest
+            )
+        )
+        return ContactList(ids[owner], records)
 
     def rows(self) -> list[tuple[str, int, str, float, float]]:
+        ids = self._ids
         out = []
-        for owner, days in self._entries.items():
+        for owner, days in enumerate(self._entries):
+            owner_hex = ids[owner].hex
             for day, peers in days.items():
                 for peer, (distance, duration) in peers.items():
-                    out.append((owner.hex, day, peer.hex, distance, duration))
+                    out.append((owner_hex, day, ids[peer].hex, distance, duration))
         out.sort()
         return out
 
@@ -203,9 +232,7 @@ class ContactGraphView(Mapping[DeviceId, ContactList]):
         self._registry = registry
 
     def __getitem__(self, device: DeviceId) -> ContactList:
-        if device not in self._registry.devices:
-            raise KeyError(device)
-        return self._registry._store.contact_list(device)
+        return self._registry._store.contact_list(self._registry._handle[device])
 
     def __iter__(self) -> Iterator[DeviceId]:
         return iter(self._registry.devices)
@@ -215,31 +242,6 @@ class ContactGraphView(Mapping[DeviceId, ContactList]):
 
     def __contains__(self, device: object) -> bool:
         return device in self._registry.devices
-
-
-class _MinDurationView(Mapping[DeviceId, ContactList]):
-    """Graph view that drops the index case's brief contacts before tracing."""
-
-    def __init__(self, base: ContactGraphView, index_case: DeviceId, min_duration: float) -> None:
-        self._base = base
-        self._index = index_case
-        self._min = min_duration
-
-    def __getitem__(self, device: DeviceId) -> ContactList:
-        contacts = self._base[device]
-        if device != self._index:
-            return contacts
-        kept = tuple(rec for rec in contacts.records if rec.duration >= self._min)
-        return ContactList(device, kept)
-
-    def __iter__(self) -> Iterator[DeviceId]:
-        return iter(self._base)
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __contains__(self, device: object) -> bool:
-        return device in self._base
 
 
 # =========================================================================
@@ -268,7 +270,10 @@ class Registry:
         self._rng = random.Random(seed)
         self._notified: set[tuple[DeviceId, NotificationKind, int]] = set()
         self._last_checked: dict[DeviceId, Stage] = {}
-        self._store = _ContactStore()
+        # Dense int handle per registered device, in registration order.
+        self._handle: dict[DeviceId, int] = {}
+        self._ids: list[DeviceId] = []
+        self._store = _ContactStore(self._ids)
         self._log_events = log_events
 
     # ------------------------------------------------------------------
@@ -310,9 +315,10 @@ class Registry:
         return ContactGraphView(self)
 
     def contact_list(self, device: DeviceId) -> ContactList:
-        if device not in self.devices:
+        handle = self._handle.get(device)
+        if handle is None:
             raise UnknownDeviceError(f"device {device.hex} is not registered")
-        return self._store.contact_list(device)
+        return self._store.contact_list(handle)
 
     # ------------------------------------------------------------------
     # one-time codes
@@ -373,6 +379,9 @@ class Registry:
         record = DeviceRecord(device=device, status=HealthStatus(stage), registered_day=day)
         self.devices[device] = record
         self._last_checked[device] = stage
+        self._handle[device] = len(self._ids)
+        self._ids.append(device)
+        self._store.add_owner()
         return record
 
     # ------------------------------------------------------------------
@@ -437,10 +446,22 @@ class Registry:
         return emitted
 
     def _traced_set(self, device: DeviceId) -> CoContactList:
-        graph: Mapping[DeviceId, ContactList] = self.contact_graph
-        if self.policy.min_contact_duration_s > 0:
-            graph = _MinDurationView(self.contact_graph, device, self.policy.min_contact_duration_s)
-        return trace_co_contacts(device, graph, self.clock)
+        # The trace reads only the index case's records from the lookback
+        # day and each of those peers' records from today, so it is handed
+        # just that two-hop subgraph.  Brief contacts are dropped from the
+        # index case's own records only.
+        today = self.clock.current_day
+        store = self._store
+        index = self._handle[device]
+        lookback_day = today - TRACE_LOOKBACK_DAYS
+        met = store.on_day(index, lookback_day)
+        min_duration = self.policy.min_contact_duration_s
+        if min_duration > 0:
+            met = {peer: slot for peer, slot in met.items() if slot[1] >= min_duration}
+        subgraph = {device: store.contact_list(index, {lookback_day: met})}
+        for peer in met:
+            subgraph[self._ids[peer]] = store.contact_list(peer, {today: store.on_day(peer, today)})
+        return trace_co_contacts(device, subgraph, self.clock)
 
     def _quarantine(self, device: DeviceId, day: int) -> None:
         # Isolation takes effect the day after notification and runs for the
@@ -472,12 +493,14 @@ class Registry:
     ) -> None:
         """Log one mutual encounter; both endpoints get mirror records."""
         self.advance_clock(clock)
-        if left not in self.devices or right not in self.devices:
+        left_handle = self._handle.get(left)
+        right_handle = self._handle.get(right)
+        if left_handle is None or right_handle is None:
             raise self._fail(
                 "encounter_recorded", left.hex,
                 UnknownDeviceError("both encounter endpoints must be registered"),
             )
-        if left == right:
+        if left_handle == right_handle:
             raise self._fail(
                 "encounter_recorded", left.hex, ValidationError("device cannot meet itself")
             )
@@ -493,17 +516,12 @@ class Registry:
             raise self._fail(
                 "encounter_recorded", left.hex, ValidationError("duration must be non-negative")
             )
-        self._record_encounter_core(left, right, self.clock.current_day, distance, dur)
-        self._log(
-            "encounter_recorded", left.hex, "ok",
-            peer=right.hex, distance=distance, duration=dur,
-        )
-
-    def _record_encounter_core(
-        self, left: DeviceId, right: DeviceId, day: int, distance: float, duration: float
-    ) -> None:
-        self._store.add(left, right, day, distance, duration)
-        self._store.add(right, left, day, distance, duration)
+        self._store.add_pair(left_handle, right_handle, self.clock.current_day, distance, dur)
+        if self._log_events:
+            self._log(
+                "encounter_recorded", left.hex, "ok",
+                peer=right.hex, distance=distance, duration=dur,
+            )
 
     def scan_handshake(
         self,
@@ -548,43 +566,45 @@ class Registry:
         weights: WeightConfig,
     ) -> ScanResult:
         day = self.clock.current_day
-        registered = [(peer, d) for peer, d in neighbors if peer in self.devices and peer != scanner]
-        for peer, distance in registered:
-            self._record_encounter_core(
-                scanner, peer, day, distance, self.policy.encounter_duration_s
-            )
+        own = self._handle[scanner]
+        registered = []
+        for peer, distance in neighbors:
+            handle = self._handle.get(peer)
+            if handle is not None and handle != own:
+                registered.append((peer, handle, distance))
+        for _, handle, distance in registered:
+            self._store.add_pair(own, handle, day, distance, self.policy.encounter_duration_s)
         if not registered:
             return ScanResult(risk_class=None, notification=None, neighbors_seen=0)
         observations = tuple(
-            Observation(peer=peer, category=int(self._categorize(peer, day)), distance=d)
-            for peer, d in registered
+            Observation(peer=peer, category=int(self._categorize(handle, day)), distance=d)
+            for peer, handle, d in registered
         )
         area = AreaObservation(radius=self.policy.bluetooth_range_m, observations=observations)
         risk_class = classify(assess_area(area, weights))
         note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
         return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
 
-    def _categorize(self, device: DeviceId, day: int) -> int:
+    def _is_infected(self, handle: int) -> bool:
+        return self.devices[self._ids[handle]].status.stage is Stage.INFECTED
+
+    def _categorize(self, handle: int, day: int) -> int:
         """Category of one observed neighbor, judged on current knowledge."""
-        if self.devices[device].status.stage is Stage.INFECTED:
+        if self._is_infected(handle):
             return 0  # infected
-        if self._met_infected(device, day):
+        if self._met_infected(handle, day):
             return 1  # contact of an infected device within the window
         window = self._store.window_peers(
-            device, day - self.policy.contact_window_days, day
+            handle, day - self.policy.contact_window_days, day
         )
         for peer in window:
-            if peer != device and self._met_infected(peer, day):
+            if peer != handle and self._met_infected(peer, day):
                 return 2  # contact of a category-B device within the window
         return 3
 
-    def _met_infected(self, device: DeviceId, day: int) -> bool:
-        window = self._store.window_peers(device, day - self.policy.contact_window_days, day)
-        for peer in window:
-            record = self.devices.get(peer)
-            if record is not None and record.status.stage is Stage.INFECTED:
-                return True
-        return False
+    def _met_infected(self, handle: int, day: int) -> bool:
+        window = self._store.window_peers(handle, day - self.policy.contact_window_days, day)
+        return any(self._is_infected(peer) for peer in window)
 
     # ------------------------------------------------------------------
     # status checker
@@ -615,7 +635,7 @@ class Registry:
         self._last_checked[device] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
             return self._emit(device, NotificationKind.STATUS_POSITIVE, day)
-        if self._met_infected(device, day):
+        if self._met_infected(self._handle[device], day):
             return self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
         return None
 
@@ -669,7 +689,7 @@ class Registry:
                 continue
             try:
                 registry._replay_one(event)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, ProxTraceError) as exc:
                 raise ValidationError(
                     f"event {position}: cannot replay {event.operation!r} "
                     f"({type(exc).__name__}: {exc})"
@@ -682,19 +702,32 @@ class Registry:
         if op == "otc_issued":
             self._insert_otc(str(details["code"]), event.day)
         elif op == "user_registered":
-            code = str(details["code"])
-            self.otcs[code].consumed = True
-            self._insert_device(
-                DeviceId.from_hex(event.actor), Stage(str(details["status"])), event.day
-            )
+            # The live preconditions hold for every ok event: a fresh code,
+            # and a device that is not registered yet.
+            device = DeviceId.from_hex(event.actor)
+            stage = Stage(str(details["status"]))
+            otc = self._unconsumed_otc(details)
+            if device in self.devices:
+                raise AlreadyRegisteredError(f"device {device.hex} is already registered")
+            otc.consumed = True
+            self._insert_device(device, stage, event.day)
         elif op == "status_updated":
-            code = str(details["code"])
-            self.otcs[code].consumed = True
-            self._apply_status_update(DeviceId.from_hex(event.actor), Stage(str(details["status"])))
+            # A fresh code, a registered device and a legal transition.
+            device = DeviceId.from_hex(event.actor)
+            stage = Stage(str(details["status"]))
+            otc = self._unconsumed_otc(details)
+            validate_transition(self.devices[device].status.stage, stage)
+            otc.consumed = True
+            self._apply_status_update(device, stage)
         elif op == "encounter_recorded":
-            self._record_encounter_core(
-                DeviceId.from_hex(event.actor),
-                DeviceId.from_hex(str(details["peer"])),
+            # Both endpoints registered and distinct.
+            left = self._handle[DeviceId.from_hex(event.actor)]
+            right = self._handle[DeviceId.from_hex(str(details["peer"]))]
+            if left == right:
+                raise ValidationError("device cannot meet itself")
+            self._store.add_pair(
+                left,
+                right,
                 event.day,
                 float(details["distance"]),  # type: ignore[arg-type]
                 float(details["duration"]),  # type: ignore[arg-type]
@@ -711,6 +744,12 @@ class Registry:
         else:
             raise ValidationError(f"unknown event operation {op!r}")
         self.events.append(event)
+
+    def _unconsumed_otc(self, details: Mapping[str, object]) -> Otc:
+        otc = self.otcs[str(details["code"])]
+        if otc.consumed:
+            raise OtcReplayError("code already consumed")
+        return otc
 
 
 # =========================================================================

@@ -166,7 +166,6 @@ def build_world(config: SimConfig) -> WorldState:
     stage[seeds] = _I
     infection_day[seeds] = 0
 
-    devices = [hash_identifier(f"agent-{i:06d}") for i in range(n)]
     registry: Registry | None = None
     if config.app_enabled:
         registry = Registry(
@@ -179,9 +178,13 @@ def build_world(config: SimConfig) -> WorldState:
             ),
             log_events=False,
         )
-        for i, device in enumerate(devices):
+        # The registry's own key objects, so its lookups hit on identity.
+        devices: list[DeviceId] = []
+        for i in range(n):
             otc = registry.issue_otc(_STAFF_CREDENTIAL)
-            registry.register_user(otc.code, f"agent-{i:06d}")
+            devices.append(registry.register_user(otc.code, f"agent-{i:06d}").device)
+    else:
+        devices = [hash_identifier(f"agent-{i:06d}") for i in range(n)]
 
     return WorldState(
         config=config,

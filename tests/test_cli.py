@@ -303,6 +303,28 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details):
     assert "KeyError" in err
 
 
+@pytest.mark.parametrize(
+    "copied, changes", [(1, {}), (3, {"status": "recovered"})],
+    ids=["duplicate-registration", "reused-code"],
+)
+def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, changes):
+    # a copy of an ok event appended to the log: the registration (device
+    # already registered, code consumed) or the report with its consumed
+    # code reused to recover
+    reg = Registry(["clinic"], seed=2)
+    person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
+    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
+    original = reg.events[copied]
+    copy = dataclasses.replace(original, details={**original.details, **changes})
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events + [copy], log)
+
+    assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: event 5: cannot replay {copy.operation!r}")
+    assert "OtcReplayError: code already consumed" in err
+
+
 # -------------------------------------------------------------------------
 # harness
 # -------------------------------------------------------------------------

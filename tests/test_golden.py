@@ -4,7 +4,9 @@ The edge configs exercise quarantine bookkeeping that the default run
 never reaches: a zero-day policy (notify only, no isolation window), a
 start delay on top of a zero symptom-onset delay, and a two-day window
 with near-certain transmission, where agents already in quarantine are
-traced again and their window is replaced by a later one.
+traced again and their window is replaced by a later one.  The zero-day
+policy is pinned once more at 300 agents, where the outbreak is never
+contained and every agent is reported and traced.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from proxtrace.cli import main
 CONFIGS = {
     "default": (300, None, ""),
     "zero_day_quarantine": (40, 6, "quarantine_days = 0\n"),
+    "zero_day_quarantine_300": (300, None, "quarantine_days = 0\n"),
     "start_delay": (60, 10, "symptom_onset_delay = 0\nquarantine_start_delay = 1\n"),
     "short_quarantine_retrace": (40, 8, "quarantine_days = 2\ninfection_probability = 0.9\n"),
 }
@@ -28,6 +31,7 @@ PINS = {
     ("zero_day_quarantine", 0): "f455616c9c3306ffa183c67927ba9da8b62bb30988ea52ba5898619e2be0c278",
     ("zero_day_quarantine", 1): "cf6d664b9c1916be301feb5a1fbd26ff9a9ea803aeabaecc53794a07ee032329",
     ("zero_day_quarantine", 2): "c1a12005ada93ce517b03ada9772210c5769f8d22a8fd32c6fb07bc24593a58b",
+    ("zero_day_quarantine_300", 0): "6964e1a11eb522f10981b9a6c9313810b6382eac49f77d5afb7d35ec08153bac",
     ("start_delay", 0): "4cc13f83bd012ace245a791bf7968ba1141277b73e6f8f71c676ab06f7dd6c2a",
     ("start_delay", 1): "77765dd8cd890721067d78cd016d834b6c7ea70c9217411794b2357d980dacef",
     ("start_delay", 2): "12511290bd5b4f0b9efcd88ea3e4efebc4ef74aa401d4c3ac242fe44138f2223",

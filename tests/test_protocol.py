@@ -9,8 +9,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from proxtrace.core import Quarantine, SimClock, Stage, hash_identifier
+from proxtrace.core import ContactList, Quarantine, SimClock, Stage, hash_identifier
 from proxtrace.errors import (
     AlreadyRegisteredError,
     AuthorizationError,
@@ -30,6 +32,7 @@ from proxtrace.protocol import (
     write_event_log,
 )
 from proxtrace.risk import RiskClass
+from proxtrace.tracing import trace_co_contacts
 
 CRED = "clinic"
 
@@ -462,6 +465,109 @@ def test_min_duration_policy_filters_trace():
     notes = reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(2))
     at_risk = {n.recipient for n in notes if n.kind is NotificationKind.CONTACT_AT_RISK}
     assert at_risk == {c}
+
+
+# Per day: encounters (left, right, distance, duration or None for the
+# policy default) and at most one reporter index.
+oracle_days = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 6),
+                st.floats(0.1, 10.0),
+                st.one_of(st.none(), st.sampled_from([0.0, 30.0, 60.0]), st.floats(0.0, 200.0)),
+            ),
+            max_size=12,
+        ),
+        st.one_of(st.none(), st.integers(0, 6)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_days, st.sampled_from([0.0, 30.0, 60.0, 90.0]))
+def test_cascade_agrees_with_trace_oracle(days, min_duration):
+    # every report lands on a fresh day, so nothing is suppressed; the
+    # oracle traces the full contact graph minus the reporter's brief contacts
+    reg = Registry([CRED], seed=3, policy=RegistryPolicy(min_contact_duration_s=min_duration))
+    people = [enroll(reg, str(i)) for i in range(7)]
+    for day, (encounters, reporter) in enumerate(days):
+        reg.advance_clock(SimClock(day))
+        for left, right, distance, duration in encounters:
+            if left != right:
+                reg.record_encounter(people[left], people[right], distance, duration)
+        if reporter is None or reg.devices[people[reporter]].status.stage is not Stage.SUSCEPTIBLE:
+            continue
+        case = people[reporter]
+        graph = {dev: reg.contact_graph[dev] for dev in reg.contact_graph}
+        graph[case] = ContactList(
+            case, tuple(r for r in graph[case].records if r.duration >= min_duration)
+        )
+        expected = trace_co_contacts(case, graph, reg.clock)
+        notes = reg.update_status(reg.issue_otc(CRED).code, case, Stage.INFECTED)
+        window = Quarantine.starting(day + 1, reg.policy.quarantine_days)
+        quarantined = {dev for dev, rec in reg.devices.items() if rec.status.quarantine == window}
+        assert quarantined == {case, *expected}
+        at_risk = [n.recipient for n in notes if n.kind is NotificationKind.CONTACT_AT_RISK]
+        assert at_risk == list(expected)
+
+
+# -------------------------------------------------------------------------
+# replay re-checks every ok event's preconditions
+# -------------------------------------------------------------------------
+
+def reported_registry():
+    """a registered, then reported infected on day 1; events 1-4."""
+    reg = make_registry()
+    a = enroll(reg, "a")
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(1))
+    assert [e.operation for e in reg.events] == [
+        "otc_issued", "user_registered", "otc_issued", "status_updated",
+    ]
+    return reg
+
+
+FRESH = "ab" * 16  # a code issued by an appended otc_issued event
+
+
+@pytest.mark.parametrize(
+    "appended, error",
+    [
+        # a copy of the registration: its code is already consumed
+        ([(1, {})], "OtcReplayError"),
+        # the same device registered again with a fresh code
+        ([(0, {"code": FRESH}), (1, {"code": FRESH})], "AlreadyRegisteredError"),
+        # the report's consumed code reused to recover
+        ([(3, {"status": "recovered"})], "OtcReplayError"),
+        # an illegal transition with a fresh code
+        ([(0, {"code": FRESH}), (3, {"code": FRESH, "status": "susceptible"})], "TransitionError"),
+    ],
+    ids=["duplicate-registration", "registered-device", "reused-code", "illegal-transition"],
+)
+def test_replay_rejects_broken_preconditions(appended, error):
+    # each appended event copies one of the log's events with some details replaced
+    reg = reported_registry()
+    extra = [
+        dataclasses.replace(reg.events[i], details={**reg.events[i].details, **changes})
+        for i, changes in appended
+    ]
+    position = len(reg.events) + len(extra)
+    with pytest.raises(ValidationError, match=f"^event {position}: cannot replay .*{error}"):
+        Registry.replay(reg.events + extra, [CRED])
+
+
+@pytest.mark.parametrize("actor", ["ghost", "b"], ids=["unregistered", "self-meeting"])
+def test_replay_rejects_broken_encounter(actor):
+    reg = make_registry()
+    a, b = enroll(reg, "a"), enroll(reg, "b")
+    reg.record_encounter(a, b, 2.0)
+    actor_hex = hash_identifier("ghost").hex if actor == "ghost" else b.hex
+    events = reg.events[:-1] + [dataclasses.replace(reg.events[-1], actor=actor_hex)]
+    with pytest.raises(ValidationError, match=f"^event {len(events)}: cannot replay"):
+        Registry.replay(events, [CRED])
 
 
 # -------------------------------------------------------------------------

@@ -223,6 +223,42 @@ def test_app_arm_contact_records_are_mutual():
     assert checked > 0
 
 
+def test_app_arm_contacts_match_brute_force_pairs():
+    # each day the registry holds exactly the pairs of agents that were not
+    # isolated at the start of the day and stood within radio range, at the
+    # pair's distance and the configured encounter duration
+    # a sparse arena and short windows, so isolation is partial and changes
+    cfg = SimConfig(
+        population=200, initial_infected=5, arena_side=100.0, quarantine_days=2,
+        infection_probability=0.9, seed=0, encounter_duration_s=120.0,
+    )
+    world = build_world(cfg)
+    registry = world.registry
+    assert registry is not None
+    index = {device: i for i, device in enumerate(world.devices)}
+    isolated_days = 0
+    for day in range(7):
+        free = [not registry.devices[d].status.is_quarantined(day) for d in world.devices]
+        isolated_days += not all(free)
+        world, _ = step(world)
+        pos = world.positions
+        expected = set()
+        for i in range(cfg.population):
+            for j in range(i + 1, cfg.population):
+                if free[i] and free[j]:
+                    dist = float(np.hypot(pos[i, 0] - pos[j, 0], pos[i, 1] - pos[j, 1]))
+                    if dist <= cfg.bluetooth_range:
+                        expected |= {(i, j, dist, 120.0), (j, i, dist, 120.0)}
+        recorded = {
+            (index[device], index[rec.peer], rec.distance, rec.duration)
+            for device in world.devices
+            for rec in registry.contact_list(device).on_day(day)
+        }
+        assert recorded == expected
+        assert expected
+    assert isolated_days >= 3
+
+
 def test_baseline_arm_has_no_registry():
     world = build_world(SimConfig(population=50, app_enabled=False))
     assert world.registry is None
