@@ -11,7 +11,13 @@ presenting an already-consumed code is itself the failure.
 The registry keeps an append-only event log.  Replaying a log into a
 fresh registry reproduces the final state bit-exactly (state_digest is
 the equality witness), which is what makes the log an audit trail rather
-than just a diagnostic.
+than just a diagnostic.  Replay re-runs each successful event through the
+live method that logged it, so a tampered event is held to the same
+preconditions as the original request: a consumed or never-issued code,
+a code issued twice, a device registered twice, an illegal transition,
+an unregistered endpoint, a self-meeting, a distance outside the
+Bluetooth range, a negative duration and a weight vector too short for
+the scan categories are all rejected.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .core import (
     CONTACT_WINDOW_DAYS,
     DEFAULT_BLUETOOTH_RANGE_M,
     DEFAULT_QUARANTINE_DAYS,
+    Category,
     ContactList,
     ContactRecord,
     DeviceId,
@@ -49,15 +56,7 @@ from .errors import (
     UnknownDeviceError,
     ValidationError,
 )
-from .risk import (
-    DEFAULT_WEIGHTS,
-    AreaObservation,
-    Observation,
-    RiskClass,
-    WeightConfig,
-    assess_area,
-    classify,
-)
+from .risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig, classify, score_from_arrays
 from .tracing import TRACE_LOOKBACK_DAYS, CoContactList, trace_co_contacts
 
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
@@ -331,13 +330,8 @@ class Registry:
         code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
         while code in self.otcs:  # collision chance ~2**-128, but be exact
             code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
-        otc = self._insert_otc(code, self.clock.current_day)
+        otc = self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
         self._log("otc_issued", "staff", "ok", code=code)
-        return otc
-
-    def _insert_otc(self, code: str, issued_day: int) -> Otc:
-        otc = Otc(code=code, issued_day=issued_day)
-        self.otcs[code] = otc
         return otc
 
     def _checked_otc(self, code: str, operation: str, actor: str) -> Otc:
@@ -359,7 +353,9 @@ class Registry:
         initial_stage: Stage = Stage.SUSCEPTIBLE,
     ) -> DeviceRecord:
         """Create a device record; consumes the code only on success."""
-        device = hash_identifier(device_raw_id)
+        return self._register(otc_code, hash_identifier(device_raw_id), initial_stage)
+
+    def _register(self, otc_code: str, device: DeviceId, stage: Stage) -> DeviceRecord:
         otc = self._checked_otc(otc_code, "user_registered", device.hex)
         if device in self.devices:
             raise self._fail(
@@ -368,20 +364,15 @@ class Registry:
                 AlreadyRegisteredError(f"device {device.hex} is already registered"),
             )
         otc.consumed = True
-        record = self._insert_device(device, initial_stage, self.clock.current_day)
-        self._log(
-            "user_registered", device.hex, "ok",
-            code=otc_code, status=initial_stage.value,
+        record = DeviceRecord(
+            device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
         )
-        return record
-
-    def _insert_device(self, device: DeviceId, stage: Stage, day: int) -> DeviceRecord:
-        record = DeviceRecord(device=device, status=HealthStatus(stage), registered_day=day)
         self.devices[device] = record
         self._last_checked[device] = stage
         self._handle[device] = len(self._ids)
         self._ids.append(device)
         self._store.add_owner()
+        self._log("user_registered", device.hex, "ok", code=otc_code, status=stage.value)
         return record
 
     # ------------------------------------------------------------------
@@ -416,33 +407,27 @@ class Registry:
         except ValidationError as exc:
             raise self._fail("status_updated", actor, exc)
         otc.consumed = True
-        notes = self._apply_status_update(device, new_stage)
-        self._log(
-            "status_updated", actor, "ok",
-            code=otc_code, status=new_stage.value,
-        )
-        return notes
-
-    def _apply_status_update(self, device: DeviceId, new_stage: Stage) -> list[Notification]:
         day = self.clock.current_day
-        record = self.devices[device]
         self.devices[device] = DeviceRecord(
             device=device,
             status=record.status.with_stage(new_stage),
             registered_day=record.registered_day,
         )
-        if new_stage is not Stage.INFECTED:
-            return []
         emitted: list[Notification] = []
-        self._quarantine(device, day)
-        note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
-        if note is not None:
-            emitted.append(note)
-        for contact in self._traced_set(device):
-            self._quarantine(contact, day)
-            note = self._emit(contact, NotificationKind.CONTACT_AT_RISK, day)
+        if new_stage is Stage.INFECTED:
+            self._quarantine(device, day)
+            note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
             if note is not None:
                 emitted.append(note)
+            for contact in self._traced_set(device):
+                self._quarantine(contact, day)
+                note = self._emit(contact, NotificationKind.CONTACT_AT_RISK, day)
+                if note is not None:
+                    emitted.append(note)
+        self._log(
+            "status_updated", actor, "ok",
+            code=otc_code, status=new_stage.value,
+        )
         return emitted
 
     def _traced_set(self, device: DeviceId) -> CoContactList:
@@ -511,6 +496,7 @@ class Registry:
                     f"distance {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
                 ),
             )
+        distance = float(distance)
         dur = self.policy.encounter_duration_s if duration is None else float(duration)
         if dur < 0:
             raise self._fail(
@@ -539,9 +525,17 @@ class Registry:
         """
         self.advance_clock(clock)
         actor = scanner.hex
-        if scanner not in self.devices:
+        own = self._handle.get(scanner)
+        if own is None:
             raise self._fail(
                 "scan", actor, UnknownDeviceError(f"scanner {actor} is not registered")
+            )
+        if len(weights) < len(Category):
+            raise self._fail(
+                "scan", actor,
+                ValidationError(
+                    f"a scan needs {len(Category)} category weights, got {len(weights)}"
+                ),
             )
         for peer, distance in neighbors:
             if not 0 < distance <= self.policy.bluetooth_range_m:
@@ -551,39 +545,30 @@ class Registry:
                         f"neighbor at {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
                     ),
                 )
-        result = self._scan_core(scanner, [(p, float(d)) for p, d in neighbors], weights)
+        day = self.clock.current_day
+        registered = []
+        for peer, distance in neighbors:
+            handle = self._handle.get(peer)
+            if handle is not None and handle != own:
+                registered.append((handle, float(distance)))
+        for handle, distance in registered:
+            self._store.add_pair(own, handle, day, distance, self.policy.encounter_duration_s)
+        if registered:
+            categories = [self._categorize(handle, day) for handle, _ in registered]
+            distances = [distance for _, distance in registered]
+            risk_class = classify(score_from_arrays(categories, distances, weights))
+            note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
+            result = ScanResult(
+                risk_class=risk_class, notification=note, neighbors_seen=len(registered)
+            )
+        else:
+            result = ScanResult(risk_class=None, notification=None, neighbors_seen=0)
         self._log(
             "scan", actor, "ok",
             neighbors=[[p.hex, d] for p, d in neighbors],
             weights=list(weights.weights),
         )
         return result
-
-    def _scan_core(
-        self,
-        scanner: DeviceId,
-        neighbors: list[tuple[DeviceId, float]],
-        weights: WeightConfig,
-    ) -> ScanResult:
-        day = self.clock.current_day
-        own = self._handle[scanner]
-        registered = []
-        for peer, distance in neighbors:
-            handle = self._handle.get(peer)
-            if handle is not None and handle != own:
-                registered.append((peer, handle, distance))
-        for _, handle, distance in registered:
-            self._store.add_pair(own, handle, day, distance, self.policy.encounter_duration_s)
-        if not registered:
-            return ScanResult(risk_class=None, notification=None, neighbors_seen=0)
-        observations = tuple(
-            Observation(peer=peer, category=int(self._categorize(handle, day)), distance=d)
-            for peer, handle, d in registered
-        )
-        area = AreaObservation(radius=self.policy.bluetooth_range_m, observations=observations)
-        risk_class = classify(assess_area(area, weights))
-        note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
-        return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
 
     def _is_infected(self, handle: int) -> bool:
         return self.devices[self._ids[handle]].status.stage is Stage.INFECTED
@@ -620,24 +605,23 @@ class Registry:
         """
         self.advance_clock(clock)
         actor = device.hex
-        if device not in self.devices:
+        handle = self._handle.get(device)
+        if handle is None:
             raise self._fail(
                 "status_check", actor, UnknownDeviceError(f"device {actor} is not registered")
             )
-        note = self._status_check_core(device)
-        self._log("status_check", actor, "ok")
-        return note
-
-    def _status_check_core(self, device: DeviceId) -> Notification | None:
         day = self.clock.current_day
         stage = self.devices[device].status.stage
         previous = self._last_checked.get(device)
         self._last_checked[device] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
-            return self._emit(device, NotificationKind.STATUS_POSITIVE, day)
-        if self._met_infected(self._handle[device], day):
-            return self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
-        return None
+            note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
+        elif self._met_infected(handle, day):
+            note = self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
+        else:
+            note = None
+        self._log("status_check", actor, "ok")
+        return note
 
     # ------------------------------------------------------------------
     # audit: digest, log persistence, replay
@@ -677,58 +661,49 @@ class Registry:
         """Rebuild a registry from its event log.
 
         Only successful events change state; failed ones are audit-only.
-        The rebuilt registry's state_digest matches the live one's.  An
-        event that cannot be applied raises ValidationError naming its position.
+        Each successful event is re-run through the live method that logged
+        it, with logging off, so it passes the same precondition checks; the
+        rebuilt registry keeps the log's own events.  Its state_digest
+        matches the live one's.  An event that cannot be applied raises
+        ValidationError naming its position.
         """
-        registry = cls(staff_credentials, policy=policy, log_events=True)
+        registry = cls(staff_credentials, policy=policy, log_events=False)
         for position, event in enumerate(events, start=1):
             if event.day > registry.clock.current_day:
                 registry.clock = SimClock(event.day)
-            if event.outcome != "ok":
-                registry.events.append(event)
-                continue
-            try:
-                registry._replay_one(event)
-            except (KeyError, ValueError, TypeError, ProxTraceError) as exc:
-                raise ValidationError(
-                    f"event {position}: cannot replay {event.operation!r} "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
+            if event.outcome == "ok":
+                try:
+                    registry._replay_one(event)
+                except (KeyError, ValueError, TypeError, ProxTraceError) as exc:
+                    raise ValidationError(
+                        f"event {position}: cannot replay {event.operation!r} "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from exc
+            registry.events.append(event)
+        registry._log_events = True
         return registry
 
     def _replay_one(self, event: Event) -> None:
         op = event.operation
         details = event.details
         if op == "otc_issued":
-            self._insert_otc(str(details["code"]), event.day)
+            # The code is the logged one, not a fresh draw from the stream.
+            code = str(details["code"])
+            if code in self.otcs:
+                raise ValidationError("code already issued")
+            self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
         elif op == "user_registered":
-            # The live preconditions hold for every ok event: a fresh code,
-            # and a device that is not registered yet.
-            device = DeviceId.from_hex(event.actor)
-            stage = Stage(str(details["status"]))
-            otc = self._unconsumed_otc(details)
-            if device in self.devices:
-                raise AlreadyRegisteredError(f"device {device.hex} is already registered")
-            otc.consumed = True
-            self._insert_device(device, stage, event.day)
+            self._register(
+                str(details["code"]), DeviceId.from_hex(event.actor), Stage(str(details["status"]))
+            )
         elif op == "status_updated":
-            # A fresh code, a registered device and a legal transition.
-            device = DeviceId.from_hex(event.actor)
-            stage = Stage(str(details["status"]))
-            otc = self._unconsumed_otc(details)
-            validate_transition(self.devices[device].status.stage, stage)
-            otc.consumed = True
-            self._apply_status_update(device, stage)
+            self.update_status(
+                str(details["code"]), DeviceId.from_hex(event.actor), Stage(str(details["status"]))
+            )
         elif op == "encounter_recorded":
-            # Both endpoints registered and distinct.
-            left = self._handle[DeviceId.from_hex(event.actor)]
-            right = self._handle[DeviceId.from_hex(str(details["peer"]))]
-            if left == right:
-                raise ValidationError("device cannot meet itself")
-            self._store.add_pair(
-                left,
-                right,
-                event.day,
+            self.record_encounter(
+                DeviceId.from_hex(event.actor),
+                DeviceId.from_hex(str(details["peer"])),
                 float(details["distance"]),  # type: ignore[arg-type]
                 float(details["duration"]),  # type: ignore[arg-type]
             )
@@ -738,18 +713,11 @@ class Registry:
                 for peer, distance in details["neighbors"]  # type: ignore[union-attr]
             ]
             weights = WeightConfig(tuple(float(w) for w in details["weights"]))  # type: ignore[union-attr]
-            self._scan_core(DeviceId.from_hex(event.actor), neighbors, weights)
+            self.scan_handshake(DeviceId.from_hex(event.actor), neighbors, weights)
         elif op == "status_check":
-            self._status_check_core(DeviceId.from_hex(event.actor))
+            self.status_checker_tick(DeviceId.from_hex(event.actor))
         else:
             raise ValidationError(f"unknown event operation {op!r}")
-        self.events.append(event)
-
-    def _unconsumed_otc(self, details: Mapping[str, object]) -> Otc:
-        otc = self.otcs[str(details["code"])]
-        if otc.consumed:
-            raise OtcReplayError("code already consumed")
-        return otc
 
 
 # =========================================================================

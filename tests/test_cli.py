@@ -285,11 +285,14 @@ def test_replay_matches_live_digest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "details",
-    [{"code": "deadbeef", "status": "infected"}, {"status": "infected"}],
+    "details, cause",
+    [
+        ({"code": "deadbeef", "status": "infected"}, "InvalidOtcError: code was never issued"),
+        ({"status": "infected"}, "KeyError"),
+    ],
     ids=["never-issued-code", "missing-code-key"],
 )
-def test_replay_tampered_log_exits_one(tmp_path, capsys, details):
+def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
     reg = Registry(["clinic"], seed=2)
     person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
     reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
@@ -300,20 +303,37 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details):
     assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: event 4: cannot replay 'status_updated'")
-    assert "KeyError" in err
+    assert cause in err
 
 
 @pytest.mark.parametrize(
-    "copied, changes", [(1, {}), (3, {"status": "recovered"})],
-    ids=["duplicate-registration", "reused-code"],
+    "copied, changes, cause",
+    [
+        (1, {}, "OtcReplayError: code already consumed"),
+        (3, {"status": "recovered"}, "OtcReplayError: code already consumed"),
+        (2, {}, "ValidationError: code already issued"),
+        (6, {"distance": 50.0}, "ValidationError: distance 50.0 m outside (0, 10.0] m"),
+        (6, {"distance": -1.0}, "ValidationError: distance -1.0 m outside"),
+        (6, {"distance": float("nan")}, "ValidationError: distance nan m outside"),
+        (6, {"duration": -5.0}, "ValidationError: duration must be non-negative"),
+        (7, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
+    ],
+    ids=[
+        "duplicate-registration", "reused-code", "reissued-code", "far-encounter",
+        "negative-distance", "nan-distance", "negative-duration", "short-weights",
+    ],
 )
-def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, changes):
-    # a copy of an ok event appended to the log: the registration (device
-    # already registered, code consumed) or the report with its consumed
-    # code reused to recover
+def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, changes, cause):
+    # a copy of an ok event appended to the log, some details replaced: the
+    # registration (device already registered, code consumed), the report
+    # with its consumed code reused to recover, the report's code issued
+    # again, an encounter or a scan with out-of-range inputs
     reg = Registry(["clinic"], seed=2)
     person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
     reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
+    other = reg.register_user(reg.issue_otc("clinic").code, "cli-user-b").device
+    reg.record_encounter(person, other, 2.0)
+    reg.scan_handshake(other, [(person, 3.0)])
     original = reg.events[copied]
     copy = dataclasses.replace(original, details={**original.details, **changes})
     log = tmp_path / "events.csv"
@@ -321,8 +341,8 @@ def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, changes)
 
     assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: event 5: cannot replay {copy.operation!r}")
-    assert "OtcReplayError: code already consumed" in err
+    assert err.startswith(f"error: event 9: cannot replay {copy.operation!r}")
+    assert cause in err
 
 
 # -------------------------------------------------------------------------

@@ -8,9 +8,11 @@ operation, successful or failed.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from proxtrace.core import ContactList, Quarantine, SimClock, Stage, hash_identifier
 from proxtrace.errors import (
@@ -18,6 +20,7 @@ from proxtrace.errors import (
     AuthorizationError,
     InvalidOtcError,
     OtcReplayError,
+    ProxTraceError,
     TransitionError,
     UnknownDeviceError,
     ValidationError,
@@ -31,7 +34,7 @@ from proxtrace.protocol import (
     read_event_log,
     write_event_log,
 )
-from proxtrace.risk import RiskClass
+from proxtrace.risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig
 from proxtrace.tracing import trace_co_contacts
 
 CRED = "clinic"
@@ -544,8 +547,13 @@ FRESH = "ab" * 16  # a code issued by an appended otc_issued event
         ([(3, {"status": "recovered"})], "OtcReplayError"),
         # an illegal transition with a fresh code
         ([(0, {"code": FRESH}), (3, {"code": FRESH, "status": "susceptible"})], "TransitionError"),
+        # the report's code issued a second time, which would make it fresh again
+        ([(2, {})], "ValidationError: code already issued"),
     ],
-    ids=["duplicate-registration", "registered-device", "reused-code", "illegal-transition"],
+    ids=[
+        "duplicate-registration", "registered-device", "reused-code", "illegal-transition",
+        "reissued-code",
+    ],
 )
 def test_replay_rejects_broken_preconditions(appended, error):
     # each appended event copies one of the log's events with some details replaced
@@ -559,15 +567,182 @@ def test_replay_rejects_broken_preconditions(appended, error):
         Registry.replay(reg.events + extra, [CRED])
 
 
-@pytest.mark.parametrize("actor", ["ghost", "b"], ids=["unregistered", "self-meeting"])
-def test_replay_rejects_broken_encounter(actor):
+@pytest.mark.parametrize(
+    "actor, changes, error",
+    [
+        ("ghost", {}, ""),
+        ("b", {}, ""),
+        ("a", {"distance": 50.0}, "distance 50.0 m outside"),
+        ("a", {"distance": -1.0}, "distance -1.0 m outside"),
+        ("a", {"distance": float("nan")}, "distance nan m outside"),
+        ("a", {"duration": -5.0}, "duration must be non-negative"),
+    ],
+    ids=[
+        "unregistered", "self-meeting", "far", "negative-distance", "nan-distance",
+        "negative-duration",
+    ],
+)
+def test_replay_rejects_broken_encounter(actor, changes, error):
     reg = make_registry()
-    a, b = enroll(reg, "a"), enroll(reg, "b")
-    reg.record_encounter(a, b, 2.0)
-    actor_hex = hash_identifier("ghost").hex if actor == "ghost" else b.hex
-    events = reg.events[:-1] + [dataclasses.replace(reg.events[-1], actor=actor_hex)]
-    with pytest.raises(ValidationError, match=f"^event {len(events)}: cannot replay"):
+    people = {"a": enroll(reg, "a"), "b": enroll(reg, "b"), "ghost": hash_identifier("ghost")}
+    reg.record_encounter(people["a"], people["b"], 2.0)
+    last = reg.events[-1]
+    tampered = dataclasses.replace(
+        last, actor=people[actor].hex, details={**last.details, **changes}
+    )
+    events = reg.events[:-1] + [tampered]
+    with pytest.raises(ValidationError, match=f"^event {len(events)}: cannot replay .*{error}"):
         Registry.replay(events, [CRED])
+
+
+@pytest.mark.parametrize(
+    "request_kind", ["short-weights", "int-distance", "numpy-distance"]
+)
+def test_replay_matches_live_on_edge_inputs(tmp_path, request_kind):
+    # requests whose live handling once differed from their replay: a scan
+    # whose weights cannot score a category-D neighbour, and encounter
+    # distances that are not Python floats
+    reg = make_registry()
+    s, n = enroll(reg, "s"), enroll(reg, "n")
+    if request_kind == "short-weights":
+        with pytest.raises(ValidationError, match="category weights"):
+            reg.scan_handshake(s, [(n, 3.0)], WeightConfig((0.7, 0.2)))
+        assert reg.contact_list(s).records == ()
+        assert reg.events[-1].outcome == "ValidationError"
+    else:
+        distance = 2 if request_kind == "int-distance" else np.float64(2.5)
+        reg.record_encounter(s, n, distance, clock=SimClock(1))
+        assert type(reg.contact_list(s).records[0].distance) is float
+    path = tmp_path / "events.csv"
+    write_event_log(reg.events, path)
+    replayed = Registry.replay(read_event_log(path), [CRED])
+    assert replayed.state_digest() == reg.state_digest()
+    assert replayed.events == reg.events
+    for registry in (reg, replayed):  # the rebuilt registry logs what follows
+        registry.status_checker_tick(s)
+    assert replayed.events == reg.events
+
+
+# -------------------------------------------------------------------------
+# replay invariant over random request sequences
+# -------------------------------------------------------------------------
+
+POOL = [f"machine-{i}" for i in range(5)]  # raw ids; any of them may be unregistered
+UNKNOWN = "ff" * 16  # a code that is never issued
+
+policies = st.builds(
+    RegistryPolicy,
+    quarantine_days=st.integers(0, 5),
+    contact_window_days=st.integers(0, 3),
+    bluetooth_range_m=st.sampled_from([5.0, 10.0]),
+    min_contact_duration_s=st.sampled_from([0.0, 60.0]),
+    encounter_duration_s=st.sampled_from([0.0, 60.0]),
+)
+# in range for some policies and out of it for others, plus non-float types
+distances = st.one_of(
+    st.floats(0.1, 10.0),
+    st.sampled_from([0.0, -1.0, 7.5, 50.0, float("nan")]),
+    st.integers(1, 12),
+    st.floats(0.1, 10.0).map(np.float64),
+)
+weight_sets = st.sampled_from(
+    [DEFAULT_WEIGHTS, WeightConfig((0.7, 0.2)), WeightConfig((0.5, 0.4, 0.3, 0.2, 0.1))]
+)
+
+
+class RegistryMachine(RuleBasedStateMachine):
+    """Valid and invalid requests in any order; replay must always agree."""
+
+    @initialize(policy=policies, seed=st.integers(0, 3))
+    def start(self, policy, seed):
+        self.registry = Registry([CRED], seed=seed, policy=policy)
+        self.codes = [UNKNOWN]
+        self.windows: dict = {}
+        for raw in POOL[:3]:  # the last two start unregistered
+            code = self.registry.issue_otc(CRED).code
+            self.registry.register_user(code, raw)
+            self.codes.append(code)
+
+    def device(self, index):
+        return hash_identifier(POOL[index])
+
+    def attempt(self, call, *args):
+        try:
+            call(*args)
+        except ProxTraceError:
+            pass  # a rejected request must leave state and log consistent too
+
+    @rule(forged=st.booleans())
+    def issue(self, forged):
+        if forged:
+            with pytest.raises(AuthorizationError):
+                self.registry.issue_otc("forged")
+        else:
+            self.codes.append(self.registry.issue_otc(CRED).code)
+
+    @rule(data=st.data(), person=st.integers(0, 4), stage=st.sampled_from(Stage))
+    def register(self, data, person, stage):
+        code = data.draw(st.sampled_from(self.codes))
+        self.attempt(self.registry.register_user, code, POOL[person], stage)
+
+    @rule(data=st.data(), person=st.integers(0, 4), stage=st.sampled_from(Stage))
+    def update(self, data, person, stage):
+        code = data.draw(st.sampled_from(self.codes))
+        self.attempt(self.registry.update_status, code, self.device(person), stage)
+
+    @rule(
+        left=st.integers(0, 4), right=st.integers(0, 4), distance=distances,
+        duration=st.one_of(st.none(), st.sampled_from([0.0, 30.0, 90.0, -5.0])),
+    )
+    def encounter(self, left, right, distance, duration):
+        left, right = self.device(left), self.device(right)
+        self.attempt(self.registry.record_encounter, left, right, distance, duration)
+
+    @rule(
+        scanner=st.integers(0, 4),
+        neighbors=st.lists(st.tuples(st.integers(0, 4), distances), max_size=4),
+        weights=weight_sets,
+    )
+    def scan(self, scanner, neighbors, weights):
+        neighbors = [(self.device(i), distance) for i, distance in neighbors]
+        self.attempt(self.registry.scan_handshake, self.device(scanner), neighbors, weights)
+
+    @rule(person=st.integers(0, 4))
+    def check(self, person):
+        self.attempt(self.registry.status_checker_tick, self.device(person))
+
+    @rule(days=st.integers(1, 2))
+    def next_day(self, days):
+        self.registry.advance_clock(SimClock(self.registry.clock.current_day + days))
+
+    @invariant()
+    def replay_agrees(self):
+        reg = self.registry
+        replayed = Registry.replay(reg.events, [CRED], policy=reg.policy)
+        assert replayed.state_digest() == reg.state_digest()
+        assert replayed.events == reg.events
+
+    @invariant()
+    def contacts_are_mutual(self):
+        graph = self.registry.contact_graph
+        seen = {
+            (owner, r.peer, r.day, r.distance, r.duration)
+            for owner in graph for r in graph[owner].records
+        }
+        assert seen == {(peer, owner, day, d, t) for owner, peer, day, d, t in seen}
+
+    @invariant()
+    def quarantine_only_extends(self):
+        for device, record in self.registry.devices.items():
+            window = record.status.quarantine
+            before = self.windows.get(device)
+            if before is not None:
+                assert window is not None and window.end_day >= before.end_day
+            self.windows[device] = window
+
+
+TestRegistryMachine = RegistryMachine.TestCase
+TestRegistryMachine.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 
 
 # -------------------------------------------------------------------------
