@@ -197,10 +197,14 @@ class ContactRecord:
 
 
 def _merge_records(records: Iterable[ContactRecord]) -> tuple[ContactRecord, ...]:
-    """Collapse duplicates per (peer, day): keep min distance, sum duration."""
-    merged: dict[tuple[int, DeviceId], ContactRecord] = {}
+    """Collapse duplicates per (peer, day): keep min distance, sum duration.
+
+    Keys and order are (day, peer digest), which is the (day, peer) order
+    without a Python-level DeviceId hash or comparison per record.
+    """
+    merged: dict[tuple[int, bytes], ContactRecord] = {}
     for rec in records:
-        key = (rec.day, rec.peer)
+        key = (rec.day, rec.peer.digest)
         prior = merged.get(key)
         if prior is None:
             merged[key] = rec
@@ -311,23 +315,32 @@ def write_contact_graph(graph: Mapping[DeviceId, ContactList], path: str | Path)
 def read_contact_graph(path: str | Path) -> dict[DeviceId, ContactList]:
     """Parse a contact graph CSV written by write_contact_graph.
 
-    Raises ValidationError naming the offending line on malformed input.
+    Each distinct id text is parsed once.  Raises ValidationError naming
+    the offending line on malformed input.
     """
-    rows: dict[DeviceId, list[ContactRecord]] = {}
+    ids: dict[str, DeviceId] = {}
+    rows: dict[bytes, tuple[DeviceId, list[ContactRecord]]] = {}
+
+    def parse(text: str) -> DeviceId:
+        device = ids.get(text)
+        if device is None:
+            device = ids[text] = DeviceId.from_hex(text)
+        return device
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and tuple(row) == GRAPH_CSV_HEADER):
                 continue
             try:
-                owner = DeviceId.from_hex(row[0])
+                owner = parse(row[0])
                 record = ContactRecord(
-                    peer=DeviceId.from_hex(row[1]),
+                    peer=parse(row[1]),
                     day=int(row[2]),
                     distance=float(row[3]),
                     duration=float(row[4]),
                 )
             except (IndexError, ValueError, ValidationError) as exc:
                 raise ValidationError(f"line {lineno}: malformed contact row ({exc})") from exc
-            rows.setdefault(owner, []).append(record)
-    return {owner: ContactList(owner, tuple(records)) for owner, records in rows.items()}
+            rows.setdefault(owner.digest, (owner, []))[1].append(record)
+    return {owner: ContactList(owner, tuple(records)) for owner, records in rows.values()}

@@ -17,7 +17,8 @@ preconditions as the original request: a consumed or never-issued code,
 a code issued twice, a device registered twice, an illegal transition,
 an unregistered endpoint, a self-meeting, a distance outside the
 Bluetooth range, a negative duration and a weight vector too short for
-the scan categories are all rejected.
+the scan categories are all rejected, and so is any event dated before
+the event ahead of it.
 """
 
 from __future__ import annotations
@@ -220,27 +221,50 @@ class _ContactStore:
         return out
 
 
-class ContactGraphView(Mapping[DeviceId, ContactList]):
+class _RegistryView:
+    """Base of the read-only mappings over a registry's devices.
+
+    Keys are the registered DeviceIds in registration order; anything else,
+    including a value that is not a DeviceId, is absent.
+    """
+
+    def __init__(self, registry: "Registry") -> None:
+        self._registry = registry
+
+    def _handle_of(self, device: object) -> int:
+        handle = None
+        if isinstance(device, DeviceId):
+            handle = self._registry._handle.get(device.digest)
+        if handle is None:
+            raise KeyError(device)
+        return handle
+
+    def __contains__(self, device: object) -> bool:
+        return isinstance(device, DeviceId) and device.digest in self._registry._handle
+
+    def __iter__(self) -> Iterator[DeviceId]:
+        return iter(self._registry._ids)
+
+    def __len__(self) -> int:
+        return len(self._registry._ids)
+
+
+class DeviceView(_RegistryView, Mapping[DeviceId, DeviceRecord]):
+    """Read-only mapping over the registry's device records."""
+
+    def __getitem__(self, device: DeviceId) -> DeviceRecord:
+        return self._registry._records[self._handle_of(device)]
+
+
+class ContactGraphView(_RegistryView, Mapping[DeviceId, ContactList]):
     """Read-only mapping over the registry's contact graph.
 
     Every registered device is present (possibly with an empty list), so
     tracing can distinguish "no contacts" from "unknown device".
     """
 
-    def __init__(self, registry: "Registry") -> None:
-        self._registry = registry
-
     def __getitem__(self, device: DeviceId) -> ContactList:
-        return self._registry._store.contact_list(self._registry._handle[device])
-
-    def __iter__(self) -> Iterator[DeviceId]:
-        return iter(self._registry.devices)
-
-    def __len__(self) -> int:
-        return len(self._registry.devices)
-
-    def __contains__(self, device: object) -> bool:
-        return device in self._registry.devices
+        return self._registry._store.contact_list(self._handle_of(device))
 
 
 # =========================================================================
@@ -261,17 +285,18 @@ class Registry:
     ) -> None:
         self.policy = policy
         self.clock = clock
-        self.devices: dict[DeviceId, DeviceRecord] = {}
         self.otcs: dict[str, Otc] = {}
         self.notifications: list[Notification] = []
         self.events: list[Event] = []
         self._staff = frozenset(staff_credentials)
         self._rng = random.Random(seed)
-        self._notified: set[tuple[DeviceId, NotificationKind, int]] = set()
-        self._last_checked: dict[DeviceId, Stage] = {}
-        # Dense int handle per registered device, in registration order.
-        self._handle: dict[DeviceId, int] = {}
+        self._notified: set[tuple[bytes, NotificationKind, int]] = set()
+        # Dense int handle per registered device digest, in registration
+        # order; every per-device column below is indexed by it.
+        self._handle: dict[bytes, int] = {}
         self._ids: list[DeviceId] = []
+        self._records: list[DeviceRecord] = []
+        self._last_checked: list[Stage] = []
         self._store = _ContactStore(self._ids)
         self._log_events = log_events
 
@@ -301,7 +326,7 @@ class Registry:
         day: int,
         risk_class: RiskClass | None = None,
     ) -> Notification | None:
-        key = (recipient, kind, day)
+        key = (recipient.digest, kind, day)
         if key in self._notified:
             return None
         self._notified.add(key)
@@ -310,11 +335,15 @@ class Registry:
         return note
 
     @property
+    def devices(self) -> DeviceView:
+        return DeviceView(self)
+
+    @property
     def contact_graph(self) -> ContactGraphView:
         return ContactGraphView(self)
 
     def contact_list(self, device: DeviceId) -> ContactList:
-        handle = self._handle.get(device)
+        handle = self._handle.get(device.digest)
         if handle is None:
             raise UnknownDeviceError(f"device {device.hex} is not registered")
         return self._store.contact_list(handle)
@@ -357,7 +386,7 @@ class Registry:
 
     def _register(self, otc_code: str, device: DeviceId, stage: Stage) -> DeviceRecord:
         otc = self._checked_otc(otc_code, "user_registered", device.hex)
-        if device in self.devices:
+        if device.digest in self._handle:
             raise self._fail(
                 "user_registered",
                 device.hex,
@@ -367,10 +396,10 @@ class Registry:
         record = DeviceRecord(
             device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
         )
-        self.devices[device] = record
-        self._last_checked[device] = stage
-        self._handle[device] = len(self._ids)
+        self._handle[device.digest] = len(self._ids)
         self._ids.append(device)
+        self._records.append(record)
+        self._last_checked.append(stage)
         self._store.add_owner()
         self._log("user_registered", device.hex, "ok", code=otc_code, status=stage.value)
         return record
@@ -396,31 +425,32 @@ class Registry:
         """
         self.advance_clock(clock)
         actor = device.hex
-        if device not in self.devices:
+        handle = self._handle.get(device.digest)
+        if handle is None:
             raise self._fail(
                 "status_updated", actor, UnknownDeviceError(f"device {actor} is not registered")
             )
         otc = self._checked_otc(otc_code, "status_updated", actor)
-        record = self.devices[device]
+        record = self._records[handle]
         try:
             validate_transition(record.status.stage, new_stage)
         except ValidationError as exc:
             raise self._fail("status_updated", actor, exc)
         otc.consumed = True
         day = self.clock.current_day
-        self.devices[device] = DeviceRecord(
-            device=device,
+        self._records[handle] = DeviceRecord(
+            device=record.device,
             status=record.status.with_stage(new_stage),
             registered_day=record.registered_day,
         )
         emitted: list[Notification] = []
         if new_stage is Stage.INFECTED:
-            self._quarantine(device, day)
+            self._quarantine(handle, day)
             note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
             if note is not None:
                 emitted.append(note)
-            for contact in self._traced_set(device):
-                self._quarantine(contact, day)
+            for contact in self._traced_set(handle):
+                self._quarantine(self._handle[contact.digest], day)
                 note = self._emit(contact, NotificationKind.CONTACT_AT_RISK, day)
                 if note is not None:
                     emitted.append(note)
@@ -430,14 +460,14 @@ class Registry:
         )
         return emitted
 
-    def _traced_set(self, device: DeviceId) -> CoContactList:
+    def _traced_set(self, index: int) -> CoContactList:
         # The trace reads only the index case's records from the lookback
         # day and each of those peers' records from today, so it is handed
         # just that two-hop subgraph.  Brief contacts are dropped from the
         # index case's own records only.
         today = self.clock.current_day
         store = self._store
-        index = self._handle[device]
+        device = self._ids[index]
         lookback_day = today - TRACE_LOOKBACK_DAYS
         met = store.on_day(index, lookback_day)
         min_duration = self.policy.min_contact_duration_s
@@ -448,18 +478,18 @@ class Registry:
             subgraph[self._ids[peer]] = store.contact_list(peer, {today: store.on_day(peer, today)})
         return trace_co_contacts(device, subgraph, self.clock)
 
-    def _quarantine(self, device: DeviceId, day: int) -> None:
+    def _quarantine(self, handle: int, day: int) -> None:
         # Isolation takes effect the day after notification and runs for the
         # policy duration; a later notification replaces a shorter window.
         if self.policy.quarantine_days <= 0:
             return  # zero-day policy means notify-only, no isolation window
         window = Quarantine.starting(day + 1, self.policy.quarantine_days)
-        record = self.devices[device]
+        record = self._records[handle]
         current = record.status.quarantine
         if current is not None and current.end_day >= window.end_day:
             return
-        self.devices[device] = DeviceRecord(
-            device=device,
+        self._records[handle] = DeviceRecord(
+            device=record.device,
             status=record.status.with_quarantine(window),
             registered_day=record.registered_day,
         )
@@ -477,9 +507,10 @@ class Registry:
         clock: SimClock | None = None,
     ) -> None:
         """Log one mutual encounter; both endpoints get mirror records."""
-        self.advance_clock(clock)
-        left_handle = self._handle.get(left)
-        right_handle = self._handle.get(right)
+        if clock is not None:
+            self.advance_clock(clock)
+        left_handle = self._handle.get(left.digest)
+        right_handle = self._handle.get(right.digest)
         if left_handle is None or right_handle is None:
             raise self._fail(
                 "encounter_recorded", left.hex,
@@ -525,7 +556,7 @@ class Registry:
         """
         self.advance_clock(clock)
         actor = scanner.hex
-        own = self._handle.get(scanner)
+        own = self._handle.get(scanner.digest)
         if own is None:
             raise self._fail(
                 "scan", actor, UnknownDeviceError(f"scanner {actor} is not registered")
@@ -548,7 +579,7 @@ class Registry:
         day = self.clock.current_day
         registered = []
         for peer, distance in neighbors:
-            handle = self._handle.get(peer)
+            handle = self._handle.get(peer.digest)
             if handle is not None and handle != own:
                 registered.append((handle, float(distance)))
         for handle, distance in registered:
@@ -570,12 +601,9 @@ class Registry:
         )
         return result
 
-    def _is_infected(self, handle: int) -> bool:
-        return self.devices[self._ids[handle]].status.stage is Stage.INFECTED
-
     def _categorize(self, handle: int, day: int) -> int:
         """Category of one observed neighbor, judged on current knowledge."""
-        if self._is_infected(handle):
+        if self._records[handle].status.stage is Stage.INFECTED:
             return 0  # infected
         if self._met_infected(handle, day):
             return 1  # contact of an infected device within the window
@@ -588,8 +616,9 @@ class Registry:
         return 3
 
     def _met_infected(self, handle: int, day: int) -> bool:
+        records = self._records
         window = self._store.window_peers(handle, day - self.policy.contact_window_days, day)
-        return any(self._is_infected(peer) for peer in window)
+        return any(records[peer].status.stage is Stage.INFECTED for peer in window)
 
     # ------------------------------------------------------------------
     # status checker
@@ -605,15 +634,15 @@ class Registry:
         """
         self.advance_clock(clock)
         actor = device.hex
-        handle = self._handle.get(device)
+        handle = self._handle.get(device.digest)
         if handle is None:
             raise self._fail(
                 "status_check", actor, UnknownDeviceError(f"device {actor} is not registered")
             )
         day = self.clock.current_day
-        stage = self.devices[device].status.stage
-        previous = self._last_checked.get(device)
-        self._last_checked[device] = stage
+        stage = self._records[handle].status.stage
+        previous = self._last_checked[handle]
+        self._last_checked[handle] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
             note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
         elif self._met_infected(handle, day):
@@ -630,12 +659,12 @@ class Registry:
     def state_digest(self) -> str:
         """Order-independent digest of the full registry state."""
         lines: list[str] = []
-        for device in sorted(self.devices):
-            record = self.devices[device]
+        for record in sorted(self._records, key=lambda r: r.device.digest):
             q = record.status.quarantine
             q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
             lines.append(
-                f"device|{device.hex}|{record.status.stage.value}|{q_text}|{record.registered_day}"
+                f"device|{record.device.hex}|{record.status.stage.value}|{q_text}"
+                f"|{record.registered_day}"
             )
         for code in sorted(self.otcs):
             otc = self.otcs[code]
@@ -664,12 +693,19 @@ class Registry:
         Each successful event is re-run through the live method that logged
         it, with logging off, so it passes the same precondition checks; the
         rebuilt registry keeps the log's own events.  Its state_digest
-        matches the live one's.  An event that cannot be applied raises
-        ValidationError naming its position.
+        matches the live one's.  An event that cannot be applied, or that is
+        dated before the event ahead of it, raises ValidationError naming its
+        position.
         """
         registry = cls(staff_credentials, policy=policy, log_events=False)
         for position, event in enumerate(events, start=1):
-            if event.day > registry.clock.current_day:
+            today = registry.clock.current_day
+            if event.day < today:
+                raise ValidationError(
+                    f"event {position}: cannot replay {event.operation!r} "
+                    f"(dated day {event.day}, but the log has reached day {today})"
+                )
+            if event.day > today:
                 registry.clock = SimClock(event.day)
             if event.outcome == "ok":
                 try:

@@ -206,8 +206,9 @@ def _isolated(world: WorldState, day: int) -> np.ndarray:
     registry = world.registry
     if registry is None:
         return np.zeros(len(world.devices), dtype=bool)
+    records = registry.devices
     return np.fromiter(
-        (registry.devices[device].status.is_quarantined(day) for device in world.devices),
+        (records[device].status.is_quarantined(day) for device in world.devices),
         dtype=bool,
         count=len(world.devices),
     )

@@ -307,35 +307,39 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
 
 
 @pytest.mark.parametrize(
-    "copied, changes, cause",
+    "copied, day, changes, cause",
     [
-        (1, {}, "OtcReplayError: code already consumed"),
-        (3, {"status": "recovered"}, "OtcReplayError: code already consumed"),
-        (2, {}, "ValidationError: code already issued"),
-        (6, {"distance": 50.0}, "ValidationError: distance 50.0 m outside (0, 10.0] m"),
-        (6, {"distance": -1.0}, "ValidationError: distance -1.0 m outside"),
-        (6, {"distance": float("nan")}, "ValidationError: distance nan m outside"),
-        (6, {"duration": -5.0}, "ValidationError: duration must be non-negative"),
-        (7, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
+        (1, 1, {}, "OtcReplayError: code already consumed"),
+        (3, 1, {"status": "recovered"}, "OtcReplayError: code already consumed"),
+        (2, 1, {}, "ValidationError: code already issued"),
+        (6, 1, {"distance": 50.0}, "ValidationError: distance 50.0 m outside (0, 10.0] m"),
+        (6, 1, {"distance": -1.0}, "ValidationError: distance -1.0 m outside"),
+        (6, 1, {"distance": float("nan")}, "ValidationError: distance nan m outside"),
+        (6, 1, {"duration": -5.0}, "ValidationError: duration must be non-negative"),
+        (7, 1, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
+        (6, 0, {}, "(dated day 0, but the log has reached day 1)"),
     ],
     ids=[
         "duplicate-registration", "reused-code", "reissued-code", "far-encounter",
         "negative-distance", "nan-distance", "negative-duration", "short-weights",
+        "backdated-encounter",
     ],
 )
-def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, changes, cause):
-    # a copy of an ok event appended to the log, some details replaced: the
-    # registration (device already registered, code consumed), the report
-    # with its consumed code reused to recover, the report's code issued
-    # again, an encounter or a scan with out-of-range inputs
+def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, changes, cause):
+    # a copy of an ok event appended to the log, redated to `day`, some
+    # details replaced: the registration (device already registered, code
+    # consumed), the report with its consumed code reused to recover, the
+    # report's code issued again, an encounter or a scan with out-of-range
+    # inputs, and a valid encounter dated before the log's last day
     reg = Registry(["clinic"], seed=2)
     person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
     reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
     other = reg.register_user(reg.issue_otc("clinic").code, "cli-user-b").device
     reg.record_encounter(person, other, 2.0)
     reg.scan_handshake(other, [(person, 3.0)])
+    assert reg.events[-1].day == 1
     original = reg.events[copied]
-    copy = dataclasses.replace(original, details={**original.details, **changes})
+    copy = dataclasses.replace(original, day=day, details={**original.details, **changes})
     log = tmp_path / "events.csv"
     write_event_log(reg.events + [copy], log)
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtrace.core import (
     DIGEST_BYTES,
@@ -227,8 +229,73 @@ def test_contact_graph_csv_roundtrip(tmp_path):
     assert loaded[b].records == graph[b].records
 
 
+# rows are (owner, peer, day, distance, duration) over a pool small enough
+# that (owner, peer, day) keys repeat; an id may be written in upper case
+graph_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.floats(0.01, 10.0),
+        # durations such as 0.1 + 0.2 + 0.3 round differently in another order
+        st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7]), st.floats(0.0, 600.0)),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_rows, st.randoms(use_true_random=False))
+def test_contact_graph_csv_matches_reference_merge(tmp_path_factory, rows, rnd):
+    pool = [device(f"csv-{i}") for i in range(4)]
+    rows = rows + rows[: len(rows) // 2]  # exact duplicate rows as well
+    rnd.shuffle(rows)
+    path = tmp_path_factory.mktemp("graph") / "graph.csv"
+    lines = ["owner_digest_hex,peer_digest_hex,day,distance_m,duration_s"]
+    for owner, peer, day, distance, duration, upper in rows:
+        owner_hex = pool[owner].hex.upper() if upper else pool[owner].hex
+        lines.append(f"{owner_hex},{pool[peer].hex},{day},{distance!r},{duration!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+    # brute-force reference: min distance, durations summed in file order
+    merged: dict = {}
+    for owner, peer, day, distance, duration, _ in rows:
+        key = (day, pool[peer].digest)
+        slots = merged.setdefault(pool[owner].digest, {})
+        if key in slots:
+            slots[key] = (min(slots[key][0], distance), slots[key][1] + duration)
+        else:
+            slots[key] = (distance, duration)
+    expected = {
+        owner: [(day, peer, *slots[day, peer]) for day, peer in sorted(slots)]
+        for owner, slots in merged.items()
+    }
+
+    loaded = read_contact_graph(path)
+    assert all(contact_list.owner == owner for owner, contact_list in loaded.items())
+    assert {
+        owner.digest: [(r.day, r.peer.digest, r.distance, r.duration) for r in contact_list]
+        for owner, contact_list in loaded.items()
+    } == expected
+
+
 def test_contact_graph_csv_reports_bad_line(tmp_path):
-    path = tmp_path / "graph.csv"
-    path.write_text("owner_digest_hex,peer_digest_hex,day,distance_m,duration_s\nnot-hex,xx,a,b,c\n")
-    with pytest.raises(ValidationError, match="line 2"):
-        read_contact_graph(path)
+    good = f"{device('a').hex},{device('b').hex},2,1.5,60.0"
+    cases = [  # (rows after the header, the line that must be named)
+        (["not-hex,xx,a,b,c"], 2),
+        # the owner parsed fine on line 2; line 3 fails on its peer
+        ([good, f"{device('a').hex},zz{device('b').hex[2:]},2,1.5,60.0"], 3),
+        ([f"{device('a').hex[:30]},{device('b').hex},2,1.5,60.0"], 2),  # a 15-byte id
+        ([good, good.replace(",2,", ",-1,")], 3),  # day -1
+        ([good.replace(",1.5,", ",0,")], 2),  # distance 0
+        ([good, good, good.replace(",60.0", ",-1.0")], 4),  # negative duration
+    ]
+    for n, (rows, bad_line) in enumerate(cases):
+        path = tmp_path / f"graph-{n}.csv"
+        path.write_text(
+            "owner_digest_hex,peer_digest_hex,day,distance_m,duration_s\n"
+            + "\n".join(rows) + "\n"
+        )
+        with pytest.raises(ValidationError, match=f"^line {bad_line}: malformed contact row"):
+            read_contact_graph(path)

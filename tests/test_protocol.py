@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from proxtrace.core import ContactList, Quarantine, SimClock, Stage, hash_identifier
+from proxtrace.core import ContactList, DeviceId, Quarantine, SimClock, Stage, hash_identifier
 from proxtrace.errors import (
     AlreadyRegisteredError,
     AuthorizationError,
@@ -87,7 +87,14 @@ def test_register_consumes_code():
     record = reg.register_user(otc.code, "user-a")
     assert otc.consumed
     assert record.device in reg.devices
+    assert reg.devices[record.device] == record
     assert record.status.stage is Stage.SUSCEPTIBLE
+    # anything else is absent: an unregistered id, or not an id at all
+    assert hash_identifier("user-b") not in reg.devices
+    assert "x" not in reg.devices
+    assert reg.devices.get("x") is None
+    with pytest.raises(KeyError):
+        reg.devices[hash_identifier("user-b")]
 
 
 def test_register_unknown_code():
@@ -95,6 +102,7 @@ def test_register_unknown_code():
     with pytest.raises(InvalidOtcError):
         reg.register_user("00" * 16, "user-a")
     assert reg.devices == {}
+    assert len(reg.devices) == 0
 
 
 def test_register_replayed_code():
@@ -117,6 +125,79 @@ def test_duplicate_device_leaves_code_usable():
     record = reg.register_user(second.code, "user-b")
     assert second.consumed
     assert record.device == hash_identifier("user-b")
+    assert len(reg.devices) == 2
+
+
+def test_devices_view_is_read_only_and_in_registration_order():
+    reg = make_registry()
+    tags = ["q", "a", "z", "m"]
+    ids = [enroll(reg, tag) for tag in tags]
+    assert list(reg.devices) == ids  # registration order, not digest order
+    assert [record.device for record in reg.devices.values()] == ids
+    assert reg.devices == {device: reg.devices[device] for device in ids}
+    with pytest.raises(TypeError):
+        reg.devices[ids[0]] = reg.devices[ids[1]]
+    with pytest.raises(TypeError):
+        del reg.devices[ids[0]]
+    assert ids[0] in reg.contact_graph and list(reg.contact_graph) == ids
+    assert "x" not in reg.contact_graph and hash_identifier("user-x") not in reg.contact_graph
+    reg.update_status(reg.issue_otc(CRED).code, ids[2], Stage.INFECTED)
+    assert reg.devices[ids[2]].status.stage is Stage.INFECTED  # the view reads live state
+
+
+# -------------------------------------------------------------------------
+# hot paths run on handles and digest bytes
+# -------------------------------------------------------------------------
+
+@pytest.fixture
+def device_id_calls(monkeypatch):
+    """Count the Python-level DeviceId.__hash__ and __eq__ calls."""
+    calls = {"hash": 0, "eq": 0}
+    original_hash, original_eq = DeviceId.__hash__, DeviceId.__eq__
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return original_hash(self)
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return original_eq(self, other)
+
+    monkeypatch.setattr(DeviceId, "__hash__", counting_hash)
+    monkeypatch.setattr(DeviceId, "__eq__", counting_eq)
+    return calls
+
+
+def test_encounters_make_no_device_id_hash_or_eq(device_id_calls):
+    reg = make_registry()
+    people = [enroll(reg, str(i)) for i in range(20)]
+    rnd = random.Random(3)
+    device_id_calls.update(hash=0, eq=0)
+    for n in range(1000):
+        left, right = rnd.sample(people, 2)  # repeats merge into one record
+        clock = SimClock(n // 250) if n % 250 == 0 else None
+        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5), clock=clock)
+    assert device_id_calls == {"hash": 0, "eq": 0}
+    assert reg.clock.current_day == 3
+
+
+def test_scan_categorisation_makes_no_device_id_hash_or_eq(device_id_calls):
+    # neighbours in every category: infected, contacts of it, their contacts
+    # and bystanders, so categorisation walks the contact windows
+    reg = make_registry()
+    s, i, *others = (enroll(reg, str(n)) for n in range(11))
+    for b in others[:3]:
+        reg.record_encounter(i, b, 2.0, clock=SimClock(4))
+    for c, b in zip(others[3:6], others[:3]):
+        reg.record_encounter(b, c, 3.0)
+    reg.update_status(reg.issue_otc(CRED).code, i, Stage.INFECTED, clock=SimClock(5))
+    neighbours = [(peer, 1.0 + n / 2) for n, peer in enumerate([i, *others])]
+    assert len(neighbours) == 10
+    device_id_calls.update(hash=0, eq=0)
+    result = reg.scan_handshake(s, neighbours)
+    assert device_id_calls == {"hash": 0, "eq": 0}
+    assert result.neighbors_seen == 10
+    assert result.notification is not None  # the notification key was checked too
 
 
 # -------------------------------------------------------------------------
@@ -537,29 +618,33 @@ FRESH = "ab" * 16  # a code issued by an appended otc_issued event
 
 
 @pytest.mark.parametrize(
-    "appended, error",
+    "appended, day, error",
     [
         # a copy of the registration: its code is already consumed
-        ([(1, {})], "OtcReplayError"),
+        ([(1, {})], 1, "OtcReplayError"),
         # the same device registered again with a fresh code
-        ([(0, {"code": FRESH}), (1, {"code": FRESH})], "AlreadyRegisteredError"),
+        ([(0, {"code": FRESH}), (1, {"code": FRESH})], 1, "AlreadyRegisteredError"),
         # the report's consumed code reused to recover
-        ([(3, {"status": "recovered"})], "OtcReplayError"),
+        ([(3, {"status": "recovered"})], 1, "OtcReplayError"),
         # an illegal transition with a fresh code
-        ([(0, {"code": FRESH}), (3, {"code": FRESH, "status": "susceptible"})], "TransitionError"),
+        ([(0, {"code": FRESH}), (3, {"code": FRESH, "status": "susceptible"})], 1,
+         "TransitionError"),
         # the report's code issued a second time, which would make it fresh again
-        ([(2, {})], "ValidationError: code already issued"),
+        ([(2, {})], 1, "ValidationError: code already issued"),
+        # a fresh code issued on day 0, after the day-1 report
+        ([(0, {"code": FRESH})], 0, "dated day 0, but the log has reached day 1"),
     ],
     ids=[
         "duplicate-registration", "registered-device", "reused-code", "illegal-transition",
-        "reissued-code",
+        "reissued-code", "backdated",
     ],
 )
-def test_replay_rejects_broken_preconditions(appended, error):
-    # each appended event copies one of the log's events with some details replaced
+def test_replay_rejects_broken_preconditions(appended, day, error):
+    # each appended event copies one of the log's events, dated `day`, with
+    # some details replaced; the log's last event is dated day 1
     reg = reported_registry()
     extra = [
-        dataclasses.replace(reg.events[i], details={**reg.events[i].details, **changes})
+        dataclasses.replace(reg.events[i], day=day, details={**reg.events[i].details, **changes})
         for i, changes in appended
     ]
     position = len(reg.events) + len(extra)
