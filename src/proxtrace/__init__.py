@@ -19,7 +19,6 @@ from .core import (
     Stage,
     hash_identifier,
     read_contact_graph,
-    record_contact,
     write_contact_graph,
 )
 from .errors import (
@@ -49,12 +48,9 @@ from .protocol import (
 )
 from .risk import (
     DEFAULT_WEIGHTS,
-    AreaObservation,
     CategoryDistribution,
     CurvePoint,
-    Observation,
     RiskClass,
-    RiskScore,
     SurfaceCell,
     WeightConfig,
     assess_area,
@@ -76,23 +72,21 @@ from .sim import (
     run,
     step,
 )
-from .tracing import CoContactList, trace_co_contacts
+from .tracing import trace_co_contacts
 
 __all__ = [
     "__version__",
-    "AlreadyRegisteredError", "AreaObservation", "AuthorizationError",
-    "Category", "CategoryDistribution", "CoContactList", "CompareResult",
-    "CompareSummary", "ContactList", "ContactRecord", "CurvePoint",
-    "DayStats", "DEFAULT_WEIGHTS", "DeviceId", "DeviceRecord", "Event",
-    "HealthStatus", "InvalidOtcError", "NoObservationsError", "Notification",
-    "NotificationKind", "Observation", "Otc", "OtcError", "OtcReplayError",
-    "ProxTraceError", "Quarantine", "Registry", "RegistryPolicy", "RiskClass",
-    "RiskScore", "ScanResult", "ScoreRangeError", "SimClock", "SimConfig",
-    "Stage", "SurfaceCell", "TransitionError", "UnknownDeviceError",
-    "ValidationError", "WeightConfig", "WorldState",
+    "AlreadyRegisteredError", "AuthorizationError", "Category",
+    "CategoryDistribution", "CompareResult", "CompareSummary", "ContactList",
+    "ContactRecord", "CurvePoint", "DayStats", "DEFAULT_WEIGHTS", "DeviceId",
+    "DeviceRecord", "Event", "HealthStatus", "InvalidOtcError",
+    "NoObservationsError", "Notification", "NotificationKind", "Otc",
+    "OtcError", "OtcReplayError", "ProxTraceError", "Quarantine", "Registry",
+    "RegistryPolicy", "RiskClass", "ScanResult", "ScoreRangeError", "SimClock",
+    "SimConfig", "Stage", "SurfaceCell", "TransitionError",
+    "UnknownDeviceError", "ValidationError", "WeightConfig", "WorldState",
     "assess_area", "build_world", "classify", "compare", "count_distributions",
     "enumerate_distributions", "hash_identifier", "read_contact_graph",
-    "read_event_log", "record_contact", "replicate_compare", "risk_curve",
-    "risk_surface", "run", "step", "trace_co_contacts", "write_contact_graph",
-    "write_event_log",
+    "read_event_log", "replicate_compare", "risk_curve", "risk_surface", "run",
+    "step", "trace_co_contacts", "write_contact_graph", "write_event_log",
 ]

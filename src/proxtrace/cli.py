@@ -3,9 +3,10 @@
 Subcommands: risk, curve, surface, trace, simulate, replay.  Exit codes
 are 0 for success, 1 for any validation or usage failure, 2 for a no-data
 outcome (nothing to score).  Every file-writing command also emits a run
-manifest (<out>.manifest.json) naming the command, config digest, seed,
-tool version, and the SHA-256 of each declared output; reruns with the
-same inputs reproduce every output byte for byte.
+manifest (<out>.manifest.json) naming the command, config digest, seed
+(null for trace and replay, which draw nothing), tool version, and the
+SHA-256 of each declared output; reruns with the same inputs reproduce
+every output byte for byte.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .risk import (
     DEFAULT_PLACEMENT_REPEATS,
     DEFAULT_WEIGHTS,
     WeightConfig,
+    assess_area,
     classify,
     risk_curve,
     risk_surface,
-    score_from_arrays,
     write_curve_csv,
     write_surface_csv,
 )
@@ -124,14 +125,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     if not categories:
         print("no observations: nothing to score", file=sys.stderr)
         return NO_DATA
-    for distance in distances:
-        if distance > args.radius:
-            raise ValidationError(f"distance {distance} m outside the {args.radius} m radius")
-    import numpy as np
-
-    score = score_from_arrays(
-        np.asarray(categories, dtype=np.int64), np.asarray(distances, dtype=float), weights
-    )
+    score = assess_area(categories, distances, weights, radius=args.radius)
     print(f"{score:.6f} {classify(score).name}")
     return OK
 
@@ -202,7 +196,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         _write_manifest(
             "trace",
             {"graph": args.graph, "case": args.case, "day": args.day},
-            args.seed,
+            None,
             [out],
         )
     else:
@@ -327,7 +321,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(digest + "\n")
-        _write_manifest("replay", {"log": args.log}, args.seed, [out])
+        _write_manifest("replay", {"log": args.log}, None, [out])
     return OK
 
 
@@ -369,8 +363,6 @@ def _build_parser() -> _Parser:
     p_trace.add_argument("--graph", required=True)
     p_trace.add_argument("--case", required=True, help="index case digest (hex)")
     p_trace.add_argument("--day", type=int, required=True)
-    p_trace.add_argument("--seed", type=int, default=0,
-                         help="recorded in the manifest; tracing itself draws nothing")
     p_trace.add_argument("--out")
     p_trace.set_defaults(func=_cmd_trace)
 
@@ -388,8 +380,6 @@ def _build_parser() -> _Parser:
     p_replay = sub.add_parser("replay", help="rebuild registry state from an event log")
     p_replay.add_argument("--log", required=True)
     p_replay.add_argument("--credential", default="replay")
-    p_replay.add_argument("--seed", type=int, default=0,
-                          help="recorded in the manifest; replay itself draws nothing")
     p_replay.add_argument("--out", help="also write the digest to this file, with a manifest")
     p_replay.set_defaults(func=_cmd_replay)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import TransitionError, ValidationError
 
@@ -63,23 +64,26 @@ class DeviceId:
         return f"DeviceId({self.digest.hex()})"
 
 
-def hash_identifier(raw_id: bytes | str, *, algorithm: str = "sha256") -> DeviceId:
-    """Map a raw device identifier onto its fixed-width digest.
-
-    The digest algorithm is pluggable by name (anything hashlib knows);
-    output is truncated to DIGEST_BYTES so every identity has the same
-    width regardless of algorithm.
-    """
+def hash_identifier(raw_id: bytes | str) -> DeviceId:
+    """Map a raw device identifier onto its SHA-256 digest, truncated to DIGEST_BYTES."""
     if isinstance(raw_id, str):
         raw_id = raw_id.encode("utf-8")
     if not raw_id:
         raise ValidationError("empty identifier cannot be hashed")
-    digest = hashlib.new(algorithm, raw_id).digest()
-    if len(digest) < DIGEST_BYTES:
-        raise ValidationError(
-            f"hash algorithm {algorithm!r} is narrower than {DIGEST_BYTES} bytes"
-        )
-    return DeviceId(digest[:DIGEST_BYTES])
+    return DeviceId(hashlib.sha256(raw_id).digest()[:DIGEST_BYTES])
+
+
+def hex_interner() -> Callable[[str], DeviceId]:
+    """DeviceId.from_hex that parses each distinct text once per interner."""
+    ids: dict[str, DeviceId] = {}
+
+    def parse(text: str) -> DeviceId:
+        device = ids.get(text)
+        if device is None:
+            device = ids[text] = DeviceId.from_hex(text)
+        return device
+
+    return parse
 
 
 # =========================================================================
@@ -190,10 +194,10 @@ class ContactRecord:
     def __post_init__(self) -> None:
         if self.day < 0:
             raise ValidationError("contact day must be non-negative")
-        if not self.distance > 0:
-            raise ValidationError("contact distance must be strictly positive")
-        if self.duration < 0:
-            raise ValidationError("contact duration must be non-negative")
+        if not 0 < self.distance < math.inf:
+            raise ValidationError("contact distance must be strictly positive and finite")
+        if not 0 <= self.duration < math.inf:
+            raise ValidationError("contact duration must be non-negative and finite")
 
 
 def _merge_records(records: Iterable[ContactRecord]) -> tuple[ContactRecord, ...]:
@@ -222,8 +226,8 @@ def _merge_records(records: Iterable[ContactRecord]) -> tuple[ContactRecord, ...
 class ContactList:
     """All encounters one device has logged, at most one record per (peer, day).
 
-    Records are kept sorted by (day, peer); construction normalizes any
-    duplicates with the same merge rule used by add().
+    Records are kept sorted by (day, peer); construction merges duplicates,
+    keeping the minimum distance and summing durations.
     """
 
     owner: DeviceId
@@ -232,45 +236,14 @@ class ContactList:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", _merge_records(self.records))
 
-    def add(self, record: ContactRecord) -> "ContactList":
-        return ContactList(self.owner, self.records + (record,))
-
     def on_day(self, day: int) -> tuple[ContactRecord, ...]:
         return tuple(rec for rec in self.records if rec.day == day)
-
-    def since(self, first_day: int) -> tuple[ContactRecord, ...]:
-        return tuple(rec for rec in self.records if rec.day >= first_day)
-
-    def peers(self) -> tuple[DeviceId, ...]:
-        seen: dict[DeviceId, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.peer, None)
-        return tuple(seen)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[ContactRecord]:
         return iter(self.records)
-
-
-def record_contact(
-    contacts: ContactList,
-    record: ContactRecord,
-    clock: "SimClock",
-    *,
-    max_range_m: float = DEFAULT_BLUETOOTH_RANGE_M,
-) -> ContactList:
-    """Insert one encounter, rejecting future-dated or out-of-range records."""
-    if record.day > clock.current_day:
-        raise ValidationError(
-            f"contact dated day {record.day} is in the future (today is {clock.current_day})"
-        )
-    if record.distance > max_range_m:
-        raise ValidationError(
-            f"contact at {record.distance} m exceeds the {max_range_m} m radio range"
-        )
-    return contacts.add(record)
 
 
 # =========================================================================
@@ -318,15 +291,8 @@ def read_contact_graph(path: str | Path) -> dict[DeviceId, ContactList]:
     Each distinct id text is parsed once.  Raises ValidationError naming
     the offending line on malformed input.
     """
-    ids: dict[str, DeviceId] = {}
+    parse = hex_interner()
     rows: dict[bytes, tuple[DeviceId, list[ContactRecord]]] = {}
-
-    def parse(text: str) -> DeviceId:
-        device = ids.get(text)
-        if device is None:
-            device = ids[text] = DeviceId.from_hex(text)
-        return device
-
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):

@@ -16,20 +16,21 @@ live method that logged it, so a tampered event is held to the same
 preconditions as the original request: a consumed or never-issued code,
 a code issued twice, a device registered twice, an illegal transition,
 an unregistered endpoint, a self-meeting, a distance outside the
-Bluetooth range, a negative duration and a weight vector too short for
-the scan categories are all rejected, and so is any event dated before
-the event ahead of it.
+Bluetooth range, a negative or non-finite duration and a weight vector
+too short for the scan categories are all rejected, and so is any event
+dated before the event ahead of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import csv
 
@@ -46,6 +47,7 @@ from .core import (
     SimClock,
     Stage,
     hash_identifier,
+    hex_interner,
     validate_transition,
 )
 from .errors import (
@@ -58,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig, classify, score_from_arrays
-from .tracing import TRACE_LOOKBACK_DAYS, CoContactList, trace_co_contacts
+from .tracing import TRACE_LOOKBACK_DAYS, trace_co_contacts
 
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
@@ -460,7 +462,7 @@ class Registry:
         )
         return emitted
 
-    def _traced_set(self, index: int) -> CoContactList:
+    def _traced_set(self, index: int) -> tuple[DeviceId, ...]:
         # The trace reads only the index case's records from the lookback
         # day and each of those peers' records from today, so it is handed
         # just that two-hop subgraph.  Brief contacts are dropped from the
@@ -529,9 +531,10 @@ class Registry:
             )
         distance = float(distance)
         dur = self.policy.encounter_duration_s if duration is None else float(duration)
-        if dur < 0:
+        if not 0 <= dur < math.inf:
             raise self._fail(
-                "encounter_recorded", left.hex, ValidationError("duration must be non-negative")
+                "encounter_recorded", left.hex,
+                ValidationError("duration must be non-negative and finite"),
             )
         self._store.add_pair(left_handle, right_handle, self.clock.current_day, distance, dur)
         if self._log_events:
@@ -695,9 +698,10 @@ class Registry:
         rebuilt registry keeps the log's own events.  Its state_digest
         matches the live one's.  An event that cannot be applied, or that is
         dated before the event ahead of it, raises ValidationError naming its
-        position.
+        position.  Each distinct id text in the log is parsed once.
         """
         registry = cls(staff_credentials, policy=policy, log_events=False)
+        parse_id = hex_interner()
         for position, event in enumerate(events, start=1):
             today = registry.clock.current_day
             if event.day < today:
@@ -709,7 +713,7 @@ class Registry:
                 registry.clock = SimClock(event.day)
             if event.outcome == "ok":
                 try:
-                    registry._replay_one(event)
+                    registry._replay_one(event, parse_id)
                 except (KeyError, ValueError, TypeError, ProxTraceError) as exc:
                     raise ValidationError(
                         f"event {position}: cannot replay {event.operation!r} "
@@ -719,7 +723,7 @@ class Registry:
         registry._log_events = True
         return registry
 
-    def _replay_one(self, event: Event) -> None:
+    def _replay_one(self, event: Event, parse_id: Callable[[str], DeviceId]) -> None:
         op = event.operation
         details = event.details
         if op == "otc_issued":
@@ -730,28 +734,28 @@ class Registry:
             self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
         elif op == "user_registered":
             self._register(
-                str(details["code"]), DeviceId.from_hex(event.actor), Stage(str(details["status"]))
+                str(details["code"]), parse_id(event.actor), Stage(str(details["status"]))
             )
         elif op == "status_updated":
             self.update_status(
-                str(details["code"]), DeviceId.from_hex(event.actor), Stage(str(details["status"]))
+                str(details["code"]), parse_id(event.actor), Stage(str(details["status"]))
             )
         elif op == "encounter_recorded":
             self.record_encounter(
-                DeviceId.from_hex(event.actor),
-                DeviceId.from_hex(str(details["peer"])),
+                parse_id(event.actor),
+                parse_id(str(details["peer"])),
                 float(details["distance"]),  # type: ignore[arg-type]
                 float(details["duration"]),  # type: ignore[arg-type]
             )
         elif op == "scan":
             neighbors = [
-                (DeviceId.from_hex(str(peer)), float(distance))
+                (parse_id(str(peer)), float(distance))
                 for peer, distance in details["neighbors"]  # type: ignore[union-attr]
             ]
             weights = WeightConfig(tuple(float(w) for w in details["weights"]))  # type: ignore[union-attr]
-            self.scan_handshake(DeviceId.from_hex(event.actor), neighbors, weights)
+            self.scan_handshake(parse_id(event.actor), neighbors, weights)
         elif op == "status_check":
-            self.status_checker_tick(DeviceId.from_hex(event.actor))
+            self.status_checker_tick(parse_id(event.actor))
         else:
             raise ValidationError(f"unknown event operation {op!r}")
 

@@ -33,7 +33,6 @@ from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .core import DeviceId
 from .errors import NoObservationsError, ScoreRangeError, ValidationError
 
 # Distances are drawn at least this far from the scanner: a reporting
@@ -47,7 +46,7 @@ Placement = Literal["uniform", "equal"]
 
 
 # =========================================================================
-# Weights and observations
+# Weights
 # =========================================================================
 
 @dataclass(frozen=True)
@@ -81,52 +80,9 @@ class WeightConfig:
 DEFAULT_WEIGHTS = WeightConfig((0.7, 0.2, 0.09, 0.01))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One individual seen in the area: who, what category, how far away."""
-
-    peer: DeviceId
-    category: int
-    distance: float
-
-    def __post_init__(self) -> None:
-        if int(self.category) < 0:
-            raise ValidationError("category index must be non-negative")
-        if not self.distance > 0:
-            raise ValidationError("observation distance must be strictly positive")
-
-
-@dataclass(frozen=True)
-class AreaObservation:
-    """Everything observed within one scan radius; never empty."""
-
-    radius: float
-    observations: tuple[Observation, ...]
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ValidationError("area radius must be strictly positive")
-        if len(self.observations) == 0:
-            raise NoObservationsError("area score is undefined with zero observations")
-        for obs in self.observations:
-            if obs.distance > self.radius:
-                raise ValidationError(
-                    f"observation at {obs.distance} m lies outside the {self.radius} m radius"
-                )
-
-    @property
-    def count(self) -> int:
-        return len(self.observations)
-
-
 # =========================================================================
 # Scoring and classification
 # =========================================================================
-
-@dataclass(frozen=True)
-class RiskScore:
-    value: float
-
 
 class RiskClass(Enum):
     """Five classification bands over the unit interval."""
@@ -163,11 +119,32 @@ def score_from_arrays(
     return min(max(raw, weights.weights[-1] / weights.top), 1.0)
 
 
-def assess_area(area: AreaObservation, weights: WeightConfig = DEFAULT_WEIGHTS) -> RiskScore:
-    """Score one area observation set under the given weights."""
-    cats = np.fromiter((int(o.category) for o in area.observations), dtype=np.int64)
-    dists = np.fromiter((o.distance for o in area.observations), dtype=float)
-    return RiskScore(score_from_arrays(cats, dists, weights))
+def assess_area(
+    categories: Sequence[int] | np.ndarray,
+    distances: Sequence[float] | np.ndarray,
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+    *,
+    radius: float = DEFAULT_AREA_RADIUS_M,
+) -> float:
+    """Score the individuals observed within one scan radius.
+
+    Individual i has risk category categories[i] (an index into weights)
+    and lies distances[i] metres from the scanner.  Raises
+    NoObservationsError when nobody was observed, and ValidationError when
+    the radius is not finite and positive or a distance lies outside
+    (0, radius].
+    """
+    if not 0 < radius < math.inf:
+        raise ValidationError(f"area radius must be finite and strictly positive, got {radius}")
+    d = np.asarray(distances, dtype=float)
+    if d.size == 0:
+        raise NoObservationsError("area score is undefined with zero observations")
+    if len(categories) != d.size:
+        raise ValidationError(f"got {len(categories)} categories for {d.size} distances")
+    outside = ~((d > 0) & (d <= radius))
+    if outside.any():
+        raise ValidationError(f"distance {d[outside][0]} m outside the {radius} m radius")
+    return score_from_arrays(categories, d, weights)
 
 
 # Upper band edges, inclusive on the right: class A is [0, 0.2] and each
@@ -175,9 +152,9 @@ def assess_area(area: AreaObservation, weights: WeightConfig = DEFAULT_WEIGHTS) 
 _BAND_EDGES = ((0.2, "A"), (0.4, "B"), (0.6, "C"), (0.8, "D"), (1.0, "E"))
 
 
-def classify(score: RiskScore | float) -> RiskClass:
+def classify(score: float) -> RiskClass:
     """Map a score in [0, 1] onto its band; anything outside is an error."""
-    value = score.value if isinstance(score, RiskScore) else float(score)
+    value = float(score)
     if math.isnan(value) or value < 0.0 or value > 1.0:
         raise ScoreRangeError(f"risk score {value!r} outside [0, 1] cannot be classified")
     for edge, name in _BAND_EDGES:
@@ -293,6 +270,13 @@ def _mean_score(
     return float(scores.mean())
 
 
+def _check_placement_radius(radius: float) -> None:
+    if not MIN_PLACEMENT_DISTANCE_M <= radius < math.inf:
+        raise ValidationError(
+            f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
+        )
+
+
 def _map_chunks(worker: Callable[[tuple], list], total: int, jobs: int, args: tuple) -> list:
     """worker((start, stop, *args)) over [0, total) in `jobs` chunks, results in order."""
     if jobs <= 1 or total < 64:
@@ -310,13 +294,11 @@ def _curve_chunk(args: tuple) -> list[CurvePoint]:
     start, stop, n, weights_tuple, radius, placement, repeats, seed = args
     weights = WeightConfig(weights_tuple)
     points = []
-    vectors = islice(enumerate_distributions(n, len(weights)), start, stop)
-    for offset, dist in enumerate(vectors):
+    vectors = islice(_descending_vectors(n, len(weights)), start, stop)
+    for offset, counts in enumerate(vectors):
         index = start + offset + 1
-        mean = _mean_score(
-            dist.cardinalities, weights, (seed, index), placement, repeats, radius
-        )
-        points.append(CurvePoint(index, dist.cardinalities, mean))
+        mean = _mean_score(counts, weights, (seed, index), placement, repeats, radius)
+        points.append(CurvePoint(index, counts, mean))
     return points
 
 
@@ -341,6 +323,7 @@ def risk_curve(
         raise ValidationError(f"need exactly {k} weights, got {len(weights)}")
     if repeats < 1:
         raise ValidationError("placement repeats must be at least 1")
+    _check_placement_radius(radius)
     args = (n, weights.weights, radius, placement, repeats, seed)
     return _map_chunks(_curve_chunk, count_distributions(n, k), jobs, args)
 
@@ -377,6 +360,7 @@ def risk_surface(
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:
         raise ValidationError("surface generation needs at least two categories")
+    _check_placement_radius(radius)
     args = (n_max, weights.weights, radius, placement, repeats, seed)
     return _map_chunks(_surface_chunk, count_distributions(n_max, 2), jobs, args)
 

@@ -9,64 +9,42 @@ same-day expansion catches the people those contacts went on to meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .core import ContactList, DeviceId, SimClock
-from .errors import UnknownDeviceError, ValidationError
+from .errors import UnknownDeviceError
 
 # Days between a contact with the index case and the day the trace runs.
 TRACE_LOOKBACK_DAYS = 2
 
 
-@dataclass(frozen=True)
-class CoContactList:
-    """Deduplicated trace output in first-discovery order."""
-
-    ids: tuple[DeviceId, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.ids)) != len(self.ids):
-            raise ValidationError("co-contact list cannot contain duplicates")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[DeviceId]:
-        return iter(self.ids)
-
-    def __contains__(self, device: object) -> bool:
-        return device in self.ids
-
-
 def trace_co_contacts(
-    index_case: DeviceId,
-    graph: Mapping[DeviceId, ContactList],
-    clock: SimClock,
-    *,
-    lookback_days: int = TRACE_LOOKBACK_DAYS,
-) -> CoContactList:
+    index_case: DeviceId, graph: Mapping[DeviceId, ContactList], clock: SimClock
+) -> tuple[DeviceId, ...]:
     """Expand the index case's lookback-day contacts into a notification set.
 
-    For every record of the index case dated exactly `lookback_days` before
-    the clock, the record's peer and all of that peer's same-day (today)
-    contacts enter the output.  A peer with no contact list of its own still
-    contributes itself.  The index case never appears in its own trace and
-    each device appears at most once, in first-discovery order.
+    For every record of the index case dated exactly TRACE_LOOKBACK_DAYS
+    before the clock, the record's peer and all of that peer's same-day
+    (today) contacts enter the output.  A peer with no contact list of its
+    own still contributes itself.  The index case never appears in its own
+    trace and each device appears at most once, in first-discovery order.
     """
     if index_case not in graph:
         raise UnknownDeviceError(f"index case {index_case.hex} not present in the contact graph")
     today = clock.current_day
+    lookback_day = today - TRACE_LOOKBACK_DAYS
     found: list[DeviceId] = []
-    seen: set[DeviceId] = set()
+    # Keyed on digest bytes, so discovering a device makes no Python-level
+    # DeviceId hash or comparison; the index case is seen from the start.
+    seen = {index_case.digest}
 
     def _add(device: DeviceId) -> None:
-        if device != index_case and device not in seen:
-            seen.add(device)
+        if device.digest not in seen:
+            seen.add(device.digest)
             found.append(device)
 
     for rec in graph[index_case].records:
-        if today - rec.day != lookback_days:
+        if rec.day != lookback_day:
             continue
         peer_list = graph.get(rec.peer)
         if peer_list is not None:
@@ -74,4 +52,4 @@ def trace_co_contacts(
                 if co.day == today:
                     _add(co.peer)
         _add(rec.peer)
-    return CoContactList(tuple(found))
+    return tuple(found)

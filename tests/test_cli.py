@@ -98,6 +98,22 @@ def test_curve_bytes_are_reproducible_and_job_independent(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
+def test_unusable_placement_radius_fails(tmp_path, capsys):
+    # below the minimum placement distance, NaN, negative, infinite
+    cases = [
+        ["curve", "--n", "3", "--radius", "0.3"],
+        ["curve", "--n", "3", "--radius", "nan"],
+        ["curve", "--n", "3", "--radius", "-3", "--placement", "equal"],
+        ["surface", "--n-max", "3", "--radius", "inf"],
+    ]
+    for n, args in enumerate(cases):
+        out = tmp_path / f"out-{n}.csv"
+        assert main(args + ["--out", str(out)]) == 1, args
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: radius must be finite"), args
+        assert not out.exists()
+
+
 def test_surface_csv(tmp_path):
     out = tmp_path / "surface.csv"
     assert main(["surface", "--n-max", "5", "--repeats", "4", "--out", str(out)]) == 0
@@ -135,10 +151,11 @@ def test_trace_out_file_and_manifest(tmp_path):
     graph, path, a = trace_fixture(tmp_path)
     out = tmp_path / "traced.txt"
     args = ["trace", "--graph", str(path), "--case", a.hex, "--day", "5", "--out", str(out)]
-    assert main(args + ["--seed", "4"]) == 0
+    assert main(args) == 0
     assert len(out.read_text().splitlines()) == 3
     manifest = json.loads((tmp_path / "traced.txt.manifest.json").read_text())
-    assert manifest["seed"] == 4
+    assert manifest["seed"] is None  # tracing draws nothing
+    assert main(args + ["--seed", "4"]) == 1
 
 
 def test_trace_unknown_case_fails(tmp_path, capsys):
@@ -281,6 +298,7 @@ def test_replay_matches_live_digest(tmp_path, capsys):
     assert out.read_text().strip() == reg.state_digest()
     manifest = json.loads((tmp_path / "digest.txt.manifest.json").read_text())
     assert manifest["command"] == "replay"
+    assert manifest["seed"] is None  # replay draws nothing
     assert manifest["outputs"][0]["sha256"] == sha256(out)
 
 
@@ -316,12 +334,13 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
         (6, 1, {"distance": -1.0}, "ValidationError: distance -1.0 m outside"),
         (6, 1, {"distance": float("nan")}, "ValidationError: distance nan m outside"),
         (6, 1, {"duration": -5.0}, "ValidationError: duration must be non-negative"),
+        (6, 1, {"duration": float("nan")}, "ValidationError: duration must be non-negative"),
         (7, 1, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
         (6, 0, {}, "(dated day 0, but the log has reached day 1)"),
     ],
     ids=[
         "duplicate-registration", "reused-code", "reissued-code", "far-encounter",
-        "negative-distance", "nan-distance", "negative-duration", "short-weights",
+        "negative-distance", "nan-distance", "negative-duration", "nan-duration", "short-weights",
         "backdated-encounter",
     ],
 )

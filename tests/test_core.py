@@ -1,5 +1,6 @@
 """Core type behavior: identities, health transitions, contact lists, CSV."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from proxtrace.core import (
     Stage,
     hash_identifier,
     read_contact_graph,
-    record_contact,
     validate_transition,
     write_contact_graph,
 )
@@ -57,11 +57,10 @@ def test_hash_collision_scan():
     assert len(digests) == len(raw)
 
 
-def test_hash_alternative_algorithm():
-    a = hash_identifier("same-input", algorithm="sha512")
-    b = hash_identifier("same-input")
-    assert len(a.digest) == DIGEST_BYTES
-    assert a != b  # different algorithm, different digest
+def test_hash_is_truncated_sha256():
+    expected = hashlib.sha256(b"same-input").digest()[:DIGEST_BYTES]
+    assert hash_identifier("same-input").digest == expected
+    assert hash_identifier(b"same-input").digest == expected
 
 
 def test_device_id_roundtrips_hex_and_compares_by_digest():
@@ -124,14 +123,15 @@ def test_contact_record_validation():
         ContactRecord(peer, day=0, distance=0.0, duration=0.0)  # zero distance rejected
     with pytest.raises(ValidationError):
         ContactRecord(peer, day=0, distance=1.0, duration=-1.0)
+    inf, nan = float("inf"), float("nan")
+    for distance, duration in ((inf, 0.0), (nan, 0.0), (1.0, inf), (1.0, nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            ContactRecord(peer, day=0, distance=distance, duration=duration)
 
 
 def test_same_day_contacts_merge():
     owner, peer = device("o"), device("p")
-    clock = SimClock(4)
-    lst = ContactList(owner)
-    lst = record_contact(lst, ContactRecord(peer, 4, 2.0, 60.0), clock)
-    lst = record_contact(lst, ContactRecord(peer, 4, 1.5, 30.0), clock)
+    lst = contacts(owner, (peer, 4, 2.0, 60.0), (peer, 4, 1.5, 30.0))
     assert len(lst) == 1
     rec = lst.records[0]
     assert rec.distance == 1.5  # min of the two
@@ -142,18 +142,6 @@ def test_distinct_days_do_not_merge():
     owner, peer = device("o"), device("p")
     lst = contacts(owner, (peer, 1, 2.0, 10.0), (peer, 2, 2.0, 10.0))
     assert len(lst) == 2
-
-
-def test_future_contact_rejected():
-    owner, peer = device("o"), device("p")
-    with pytest.raises(ValidationError):
-        record_contact(ContactList(owner), ContactRecord(peer, 5, 1.0, 0.0), SimClock(4))
-
-
-def test_out_of_range_contact_rejected():
-    owner, peer = device("o"), device("p")
-    with pytest.raises(ValidationError):
-        record_contact(ContactList(owner), ContactRecord(peer, 0, 10.5, 0.0), SimClock(0))
 
 
 def test_records_sorted_by_day_then_peer():
@@ -175,16 +163,16 @@ def test_merge_invariant_under_random_insertion():
     rnd = random.Random(7)
     owner = device("owner")
     peers = [device(i) for i in range(5)]
-    lst = ContactList(owner)
-    clock = SimClock(9)
-    for _ in range(300):
-        rec = ContactRecord(
+    records = tuple(
+        ContactRecord(
             peer=rnd.choice(peers),
             day=rnd.randrange(10),
             distance=rnd.uniform(0.1, 10.0),
             duration=rnd.uniform(0.0, 600.0),
         )
-        lst = record_contact(lst, rec, clock)
+        for _ in range(300)
+    )
+    lst = ContactList(owner, records)
     seen = [(rec.day, rec.peer) for rec in lst]
     assert len(seen) == len(set(seen))
 
@@ -193,8 +181,8 @@ def test_on_day_and_since_filters():
     owner, a, b = device("o"), device("a"), device("b")
     lst = contacts(owner, (a, 1, 1.0, 1.0), (b, 3, 1.0, 1.0), (a, 5, 1.0, 1.0))
     assert [rec.peer for rec in lst.on_day(3)] == [b]
-    assert {rec.day for rec in lst.since(3)} == {3, 5}
-    assert lst.peers() == (a, b)
+    assert [rec.peer for rec in lst.on_day(5)] == [a]
+    assert lst.on_day(4) == ()
 
 
 # -------------------------------------------------------------------------
@@ -290,6 +278,8 @@ def test_contact_graph_csv_reports_bad_line(tmp_path):
         ([good, good.replace(",2,", ",-1,")], 3),  # day -1
         ([good.replace(",1.5,", ",0,")], 2),  # distance 0
         ([good, good, good.replace(",60.0", ",-1.0")], 4),  # negative duration
+        ([good, good.replace(",1.5,", ",inf,")], 3),  # infinite distance
+        ([good.replace(",60.0", ",nan"), good], 2),  # NaN duration
     ]
     for n, (rows, bad_line) in enumerate(cases):
         path = tmp_path / f"graph-{n}.csv"

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from proxtrace.core import ContactList, DeviceId, Quarantine, SimClock, Stage, hash_identifier
+from proxtrace.core import (
+    ContactList,
+    ContactRecord,
+    DeviceId,
+    Quarantine,
+    SimClock,
+    Stage,
+    hash_identifier,
+)
 from proxtrace.errors import (
     AlreadyRegisteredError,
     AuthorizationError,
@@ -200,6 +208,32 @@ def test_scan_categorisation_makes_no_device_id_hash_or_eq(device_id_calls):
     assert result.notification is not None  # the notification key was checked too
 
 
+def test_trace_hashes_per_lookback_peer_not_per_traced_device(device_id_calls):
+    # Two graphs with the same five lookback-day peers, whose today lists
+    # differ tenfold and overlap (each also holds the index case and another
+    # peer).  Graph lookups hash once per lookback peer; discovering a device
+    # hashes and compares nothing, so both traces make the same calls.
+    index = hash_identifier("trace-index")
+    peers = [hash_identifier(f"trace-peer-{n}") for n in range(5)]
+    pool = [hash_identifier(f"trace-pool-{n}") for n in range(120)]
+    graphs = []
+    for size in (8, 98):
+        graph = {index: ContactList(index, tuple(ContactRecord(p, 3, 1.0, 60.0) for p in peers))}
+        for n, peer in enumerate(peers):
+            met = [index, peers[(n + 1) % 5], *pool[n * 4 : n * 4 + size]]
+            graph[peer] = ContactList(peer, tuple(ContactRecord(m, 5, 2.0, 60.0) for m in met))
+        graphs.append(graph)
+    device_id_calls.update(hash=0, eq=0)
+    hashes = []
+    for graph, size in zip(graphs, (8, 98)):
+        before = device_id_calls["hash"]
+        traced = trace_co_contacts(index, graph, SimClock(5))
+        hashes.append(device_id_calls["hash"] - before)
+        assert len(traced) == 5 + size + 16
+    assert hashes[0] == hashes[1]
+    assert device_id_calls["eq"] == 0
+
+
 # -------------------------------------------------------------------------
 # status updates and the cascade
 # -------------------------------------------------------------------------
@@ -333,6 +367,19 @@ def test_encounter_validation():
     with pytest.raises(ValidationError):
         reg.record_encounter(a, b, 2.0, -1.0)
     assert reg.contact_list(a).records == ()
+
+
+def test_non_finite_duration_is_rejected_and_logged():
+    reg = make_registry()
+    a, b = enroll(reg, "a"), enroll(reg, "b")
+    digest = reg.state_digest()
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="duration must be non-negative and finite"):
+            reg.record_encounter(a, b, 2.0, duration)
+        assert reg.events[-1].operation == "encounter_recorded"
+        assert reg.events[-1].outcome == "ValidationError"
+    assert reg.contact_list(a).records == ()
+    assert reg.state_digest() == digest
 
 
 def test_contact_list_requires_registration():
@@ -677,6 +724,36 @@ def test_replay_rejects_broken_encounter(actor, changes, error):
     )
     events = reg.events[:-1] + [tampered]
     with pytest.raises(ValidationError, match=f"^event {len(events)}: cannot replay .*{error}"):
+        Registry.replay(events, [CRED])
+
+
+def test_replay_parses_each_id_once(monkeypatch):
+    reg = make_registry()
+    people = [enroll(reg, str(n)) for n in range(4)]
+    rnd = random.Random(5)
+    for n in range(200):
+        left, right = rnd.sample(people, 2)
+        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5), clock=SimClock(n // 50))
+        reg.scan_handshake(left, [(p, 3.0) for p in people])
+        reg.status_checker_tick(right)
+    calls = []
+    from_hex = DeviceId.from_hex.__func__
+
+    def counting_from_hex(cls, text):
+        calls.append(text)
+        return from_hex(cls, text)
+
+    monkeypatch.setattr(DeviceId, "from_hex", classmethod(counting_from_hex))
+    assert Registry.replay(reg.events, [CRED]).state_digest() == reg.state_digest()
+    assert len(calls) <= len(people)
+
+    # a malformed id still fails at its own event, however often it recurs
+    bad = dataclasses.replace(reg.events[-1], actor="zz" + people[0].hex[2:])
+    events = reg.events + [bad, bad]
+    with pytest.raises(
+        ValidationError, match=f"^event {len(events) - 1}: cannot replay 'status_check' "
+        r"\(ValidationError: not a hex digest"
+    ):
         Registry.replay(events, [CRED])
 
 

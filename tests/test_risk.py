@@ -18,11 +18,8 @@ from proxtrace.core import Category
 from proxtrace.errors import NoObservationsError, ScoreRangeError, ValidationError
 from proxtrace.risk import (
     DEFAULT_WEIGHTS,
-    AreaObservation,
     CategoryDistribution,
-    Observation,
     RiskClass,
-    RiskScore,
     WeightConfig,
     assess_area,
     classify,
@@ -35,22 +32,11 @@ from proxtrace.risk import (
     write_surface_csv,
 )
 
-from conftest import device
-
-
 def oracle_score(categories, distances, weights):
     """Direct formula: sum(w[c] * d) / (w[0] * sum(d)), via fsum."""
     num = math.fsum(weights[c] * d for c, d in zip(categories, distances))
     den = weights[0] * math.fsum(distances)
     return num / den
-
-
-def area(categories, distances, radius=10.0):
-    obs = tuple(
-        Observation(device(i), cat, dist)
-        for i, (cat, dist) in enumerate(zip(categories, distances))
-    )
-    return AreaObservation(radius=radius, observations=obs)
 
 
 # -------------------------------------------------------------------------
@@ -60,28 +46,28 @@ def area(categories, distances, radius=10.0):
 def test_all_top_category_scores_one():
     rnd = random.Random(1)
     dists = [rnd.uniform(0.5, 10.0) for _ in range(20)]
-    score = assess_area(area([0] * 20, dists))
-    assert abs(score.value - 1.0) <= 1e-12
+    score = assess_area([0] * 20, dists)
+    assert abs(score - 1.0) <= 1e-12
 
 
 def test_all_bottom_category_scores_weight_ratio():
     rnd = random.Random(2)
     dists = [rnd.uniform(0.5, 10.0) for _ in range(20)]
-    score = assess_area(area([3] * 20, dists))
-    assert abs(score.value - 0.01 / 0.7) <= 1e-12
+    score = assess_area([3] * 20, dists)
+    assert abs(score - 0.01 / 0.7) <= 1e-12
 
 
 def test_half_top_half_bottom_equal_distance():
     # 10 top-category and 10 bottom-category observations at one distance:
     # (10*0.7 + 10*0.01) / (20*0.7) = 0.5071428...
-    score = assess_area(area([0] * 10 + [3] * 10, [3.0] * 20))
-    assert abs(score.value - 7.1 / 14.0) <= 1e-12
+    score = assess_area([0] * 10 + [3] * 10, [3.0] * 20)
+    assert abs(score - 7.1 / 14.0) <= 1e-12
     assert classify(score) is RiskClass.C
 
 
 def test_single_observation_second_category():
-    score = assess_area(area([1], [4.0]))
-    assert abs(score.value - 0.2 / 0.7) <= 1e-12
+    score = assess_area([1], [4.0])
+    assert abs(score - 0.2 / 0.7) <= 1e-12
     assert classify(score) is RiskClass.B
 
 
@@ -92,30 +78,38 @@ def test_score_matches_oracle_on_random_inputs():
         n = rnd.randrange(1, 30)
         cats = [rnd.randrange(4) for _ in range(n)]
         dists = [rnd.uniform(0.2, 10.0) for _ in range(n)]
-        got = assess_area(area(cats, dists), w).value
+        got = assess_area(cats, dists, w)
         want = oracle_score(cats, dists, w.weights)
         assert abs(got - want) <= 1e-12
 
 
 def test_empty_area_is_an_error():
     with pytest.raises(NoObservationsError):
-        AreaObservation(radius=10.0, observations=())
+        assess_area([], [])
     with pytest.raises(NoObservationsError):
         score_from_arrays(np.empty(0, dtype=np.int64), np.empty(0), DEFAULT_WEIGHTS)
 
 
 def test_observation_validation():
     with pytest.raises(ValidationError):
-        Observation(device("x"), 0, 0.0)  # zero distance rejected, not clamped
+        assess_area([0], [0.0])  # zero distance rejected, not clamped
     with pytest.raises(ValidationError):
-        Observation(device("x"), -1, 1.0)
+        assess_area([-1], [1.0])
+    for distance in (11.0, float("nan")):  # outside the radius
+        with pytest.raises(ValidationError, match="radius"):
+            assess_area([0], [distance])
+    with pytest.raises(ValidationError, match="radius"):
+        assess_area([0], [4.0], radius=3.0)
+    for radius in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="radius"):
+            assess_area([0], [1.0], radius=radius)
     with pytest.raises(ValidationError):
-        area([0], [11.0])  # outside the radius
+        assess_area([0, 1], [1.0])  # one category per distance
 
 
 def test_category_without_weight_rejected():
     with pytest.raises(ValidationError):
-        assess_area(area([5], [1.0]), DEFAULT_WEIGHTS)
+        assess_area([5], [1.0], DEFAULT_WEIGHTS)
     with pytest.raises(ValidationError, match="negative"):
         score_from_arrays([-1], [1.0], DEFAULT_WEIGHTS)
 
@@ -147,7 +141,7 @@ obs_lists = st.lists(
 def test_score_range_property(pairs):
     cats = [c for c, _ in pairs]
     dists = [d for _, d in pairs]
-    value = assess_area(area(cats, dists)).value
+    value = assess_area(cats, dists)
     lo = DEFAULT_WEIGHTS.weights[-1] / DEFAULT_WEIGHTS.top
     assert lo - 1e-12 <= value <= 1.0 + 1e-12
 
@@ -158,8 +152,8 @@ def test_score_scale_invariance(pairs, factor):
     # multiplying every distance by a constant leaves the score unchanged
     cats = [c for c, _ in pairs]
     dists = [d for _, d in pairs]
-    base = assess_area(area(cats, dists)).value
-    scaled = assess_area(area(cats, [d * factor for d in dists])).value
+    base = assess_area(cats, dists)
+    scaled = assess_area(cats, [d * factor for d in dists])
     assert abs(base - scaled) <= 1e-9
 
 
@@ -172,9 +166,9 @@ def test_moving_one_observation_up_strictly_increases(pairs, data):
     if not movable:
         return
     i = data.draw(st.sampled_from(movable))
-    before = assess_area(area(cats, dists)).value
+    before = assess_area(cats, dists)
     cats[i] -= 1  # strictly higher-weight category
-    after = assess_area(area(cats, dists)).value
+    after = assess_area(cats, dists)
     assert after > before
 
 
@@ -183,7 +177,7 @@ def test_moving_one_observation_up_strictly_increases(pairs, data):
 def test_score_one_iff_all_top(pairs):
     cats = [c for c, _ in pairs]
     dists = [d for _, d in pairs]
-    value = assess_area(area(cats, dists)).value
+    value = assess_area(cats, dists)
     if all(c == 0 for c in cats):
         assert abs(value - 1.0) <= 1e-12
     else:
@@ -206,7 +200,6 @@ def test_boundary_suite():
     }
     for value, cls in expected.items():
         assert classify(value) is cls, value
-    assert classify(RiskScore(0.5)) is RiskClass.C
 
 
 def test_out_of_range_scores_rejected():

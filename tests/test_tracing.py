@@ -6,7 +6,7 @@ import pytest
 
 from proxtrace.core import ContactList, ContactRecord, SimClock, hash_identifier
 from proxtrace.errors import UnknownDeviceError
-from proxtrace.tracing import TRACE_LOOKBACK_DAYS, CoContactList, trace_co_contacts
+from proxtrace.tracing import TRACE_LOOKBACK_DAYS, trace_co_contacts
 
 from conftest import contacts, device
 
@@ -37,8 +37,7 @@ def test_two_hop_example():
         c: contacts(c, (y, 5, 1.0)),
     }
     got = trace_co_contacts(a, graph, SimClock(5))
-    assert list(got) == [x, b, y, c]
-    assert set(got) == {b, c, x, y}
+    assert got == (x, b, y, c)
 
 
 def test_peers_met_today_are_not_expanded():
@@ -94,14 +93,15 @@ def test_duplicates_collapse():
     assert list(got) == [x, b, c]
 
 
-def test_custom_lookback():
-    a, b, x = device("a"), device("b"), device("x")
+def test_only_the_lookback_day_seeds_the_trace():
+    a, b, c, d, x = (device(t) for t in "abcdx")
+    lookback = 7 - TRACE_LOOKBACK_DAYS
     graph = {
-        a: contacts(a, (b, 2, 1.0)),
+        a: contacts(a, (b, lookback - 1, 1.0), (c, lookback, 1.0), (d, lookback + 1, 1.0)),
         b: contacts(b, (x, 7, 1.0)),
+        d: contacts(d, (x, 7, 1.0)),
     }
-    assert list(trace_co_contacts(a, graph, SimClock(7), lookback_days=5)) == [x, b]
-    assert list(trace_co_contacts(a, graph, SimClock(7))) == []
+    assert trace_co_contacts(a, graph, SimClock(7)) == (c,)
 
 
 def test_result_is_deterministic_and_idempotent():
@@ -113,28 +113,18 @@ def test_result_is_deterministic_and_idempotent():
     assert list(first) == list(second)
 
 
-def test_co_contact_list_container_behaviour():
-    a, b = device("a"), device("b")
-    lst = CoContactList((b,))
-    assert len(lst) == 1
-    assert b in lst
-    assert a not in lst
-    with pytest.raises(Exception):
-        CoContactList((b, b))
-
-
 def random_graph(rnd, people=60, days=8, max_contacts=6):
     ids = [hash_identifier(f"person-{rnd.randrange(10**9)}-{i}") for i in range(people)]
     graph = {}
     for owner in ids:
-        lst = ContactList(owner=owner)
+        records = []
         for day in range(days + 1):
             for _ in range(rnd.randrange(max_contacts + 1)):
                 peer = rnd.choice(ids)
                 if peer == owner:
                     continue
-                lst = lst.add(ContactRecord(peer, day, rnd.uniform(0.5, 9.5), 60.0))
-        graph[owner] = lst
+                records.append(ContactRecord(peer, day, rnd.uniform(0.5, 9.5), 60.0))
+        graph[owner] = ContactList(owner, tuple(records))
     return graph, ids
 
 
