@@ -36,7 +36,7 @@ from .risk import (
     write_curve_csv,
     write_surface_csv,
 )
-from .sim import DayStats, SimConfig, compare, replicate_compare, run
+from .sim import DayStats, SimConfig, _replicas, replicate_compare, run
 from .tracing import trace_co_contacts
 
 OK, FAILURE, NO_DATA = 0, 1, 2
@@ -130,58 +130,26 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    points = risk_curve(
-        args.n,
-        args.k,
-        weights,
-        radius=args.radius,
-        placement=args.placement,
-        repeats=args.repeats,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    placement = {
+        "radius": args.radius, "placement": args.placement,
+        "repeats": args.repeats, "seed": args.seed,
+    }
     out = Path(args.out)
-    write_curve_csv(points, out, args.k)
-    _write_manifest(
-        "curve",
-        {
-            "n": args.n, "k": args.k, "weights": list(weights.weights),
-            "radius": args.radius, "placement": args.placement,
-            "repeats": args.repeats, "seed": args.seed,
-        },
-        args.seed,
-        [out],
-    )
-    print(f"wrote {len(points)} curve points to {out}")
-    return OK
-
-
-def _cmd_surface(args: argparse.Namespace) -> int:
-    weights = _parse_weights(args.weights)
-    cells = risk_surface(
-        args.n_max,
-        weights,
-        radius=args.radius,
-        placement=args.placement,
-        repeats=args.repeats,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    out = Path(args.out)
-    write_surface_csv(cells, out)
-    _write_manifest(
-        "surface",
-        {
-            "n_max": args.n_max, "weights": list(weights.weights),
-            "radius": args.radius, "placement": args.placement,
-            "repeats": args.repeats, "seed": args.seed,
-        },
-        args.seed,
-        [out],
-    )
-    print(f"wrote {len(cells)} surface cells to {out}")
+    if args.command == "curve":
+        size: dict[str, int] = {"n": args.n, "k": args.k}
+        rows: list = risk_curve(args.n, args.k, weights, jobs=args.jobs, **placement)
+        write_curve_csv(rows, out, args.k)
+        noun = "curve points"
+    else:
+        size = {"n_max": args.n_max}
+        rows = risk_surface(args.n_max, weights, jobs=args.jobs, **placement)
+        write_surface_csv(rows, out)
+        noun = "surface cells"
+    params = {**size, "weights": list(weights.weights), **placement}
+    _write_manifest(args.command, params, args.seed, [out])
+    print(f"wrote {len(rows)} {noun} to {out}")
     return OK
 
 
@@ -283,11 +251,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"(peak day {s.app_peak_day}), ratio {s.ratio:.3f}"
             )
     else:
-        app_enabled = args.arm == "app"
-        for k in range(args.replicates):
-            seeded = dataclasses.replace(
-                config, seed=config.seed + k, app_enabled=app_enabled
-            )
+        arm_config = dataclasses.replace(config, app_enabled=args.arm == "app")
+        for seeded in _replicas(arm_config, args.replicates):
             stats = run(seeded)
             rows.extend(_sim_rows(stats, args.arm, seeded.seed if multi else None))
             summaries.append(
@@ -357,7 +322,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_curve if name == "curve" else _cmd_surface)
+        p.set_defaults(func=_cmd_generate)
 
     p_trace = sub.add_parser("trace", help="co-contact trace over a contact graph CSV")
     p_trace.add_argument("--graph", required=True)

@@ -3,7 +3,8 @@
 Hashed device identities, health states with quarantine windows, contact
 records and per-device contact lists, and the day-granularity clock the
 rest of the package runs on.  Everything here is an immutable value type:
-updates return new objects, so snapshots can be shared freely.
+updates return new objects, so snapshots can be shared freely.  Also the
+process-pool fan-out the curve, surface and replicate runs share.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TransitionError, ValidationError
 
@@ -310,3 +313,24 @@ def read_contact_graph(path: str | Path) -> dict[DeviceId, ContactList]:
                 raise ValidationError(f"line {lineno}: malformed contact row ({exc})") from exc
             rows.setdefault(owner.digest, (owner, []))[1].append(record)
     return {owner: ContactList(owner, tuple(records)) for owner, records in rows.values()}
+
+
+# =========================================================================
+# Process fan-out
+# =========================================================================
+
+def _pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    """[fn(task) for task in tasks], over at most `jobs` worker processes.
+
+    The pool asks for no more workers than there are tasks or CPUs this
+    process may run on (where the OS reports them), since the fork start
+    method starts every worker at the first submit.  With one worker or
+    fewer the tasks run in this process.
+    """
+    workers = min(jobs, len(tasks))
+    if workers > 1 and hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))

@@ -48,7 +48,6 @@ from .core import (
     Stage,
     hash_identifier,
     hex_interner,
-    validate_transition,
 )
 from .errors import (
     AlreadyRegisteredError,
@@ -282,11 +281,10 @@ class Registry:
         *,
         seed: int = 0,
         policy: RegistryPolicy = RegistryPolicy(),
-        clock: SimClock = SimClock(0),
         log_events: bool = True,
     ) -> None:
         self.policy = policy
-        self.clock = clock
+        self.clock = SimClock(0)
         self.otcs: dict[str, Otc] = {}
         self.notifications: list[Notification] = []
         self.events: list[Event] = []
@@ -306,11 +304,10 @@ class Registry:
     # plumbing
     # ------------------------------------------------------------------
 
-    def advance_clock(self, clock: SimClock | None) -> SimClock:
-        if clock is not None:
-            if clock.current_day < self.clock.current_day:
-                raise ValidationError("registry clock cannot move backwards")
-            self.clock = clock
+    def advance_clock(self, clock: SimClock) -> SimClock:
+        if clock.current_day < self.clock.current_day:
+            raise ValidationError("registry clock cannot move backwards")
+        self.clock = clock
         return self.clock
 
     def _log(self, operation: str, actor: str, outcome: str, **details: object) -> None:
@@ -415,7 +412,6 @@ class Registry:
         otc_code: str,
         device: DeviceId,
         new_stage: Stage,
-        clock: SimClock | None = None,
     ) -> list[Notification]:
         """Verified stage change.  An infection triggers the full cascade:
 
@@ -425,7 +421,6 @@ class Registry:
         Returns the notifications actually emitted (duplicates for the same
         recipient, kind, and day are suppressed).
         """
-        self.advance_clock(clock)
         actor = device.hex
         handle = self._handle.get(device.digest)
         if handle is None:
@@ -433,18 +428,13 @@ class Registry:
                 "status_updated", actor, UnknownDeviceError(f"device {actor} is not registered")
             )
         otc = self._checked_otc(otc_code, "status_updated", actor)
-        record = self._records[handle]
         try:
-            validate_transition(record.status.stage, new_stage)
+            status = self._records[handle].status.with_stage(new_stage)
         except ValidationError as exc:
             raise self._fail("status_updated", actor, exc)
         otc.consumed = True
         day = self.clock.current_day
-        self._records[handle] = DeviceRecord(
-            device=record.device,
-            status=record.status.with_stage(new_stage),
-            registered_day=record.registered_day,
-        )
+        self._set_status(handle, status)
         emitted: list[Notification] = []
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
@@ -486,15 +476,14 @@ class Registry:
         if self.policy.quarantine_days <= 0:
             return  # zero-day policy means notify-only, no isolation window
         window = Quarantine.starting(day + 1, self.policy.quarantine_days)
-        record = self._records[handle]
-        current = record.status.quarantine
-        if current is not None and current.end_day >= window.end_day:
+        status = self._records[handle].status
+        if status.quarantine is not None and status.quarantine.end_day >= window.end_day:
             return
-        self._records[handle] = DeviceRecord(
-            device=record.device,
-            status=record.status.with_quarantine(window),
-            registered_day=record.registered_day,
-        )
+        self._set_status(handle, status.with_quarantine(window))
+
+    def _set_status(self, handle: int, status: HealthStatus) -> None:
+        record = self._records[handle]
+        self._records[handle] = DeviceRecord(record.device, status, record.registered_day)
 
     # ------------------------------------------------------------------
     # encounters and scans
@@ -506,11 +495,8 @@ class Registry:
         right: DeviceId,
         distance: float,
         duration: float | None = None,
-        clock: SimClock | None = None,
     ) -> None:
         """Log one mutual encounter; both endpoints get mirror records."""
-        if clock is not None:
-            self.advance_clock(clock)
         left_handle = self._handle.get(left.digest)
         right_handle = self._handle.get(right.digest)
         if left_handle is None or right_handle is None:
@@ -548,7 +534,6 @@ class Registry:
         scanner: DeviceId,
         neighbors: Sequence[tuple[DeviceId, float]],
         weights: WeightConfig = DEFAULT_WEIGHTS,
-        clock: SimClock | None = None,
     ) -> ScanResult:
         """One proximity sweep: record encounters, score the area.
 
@@ -557,7 +542,6 @@ class Registry:
         a null class (the documented no-data outcome).  The scanner learns
         only the classified area risk, never any neighbor's status.
         """
-        self.advance_clock(clock)
         actor = scanner.hex
         own = self._handle.get(scanner.digest)
         if own is None:
@@ -627,7 +611,7 @@ class Registry:
     # status checker
     # ------------------------------------------------------------------
 
-    def status_checker_tick(self, device: DeviceId, clock: SimClock | None = None) -> Notification | None:
+    def status_checker_tick(self, device: DeviceId) -> Notification | None:
         """Periodic per-device check.
 
         Emits a status-positive notification when the stage flipped to
@@ -635,7 +619,6 @@ class Registry:
         contact window and emits contact-at-risk if any windowed contact is
         currently infected.
         """
-        self.advance_clock(clock)
         actor = device.hex
         handle = self._handle.get(device.digest)
         if handle is None:
@@ -710,7 +693,7 @@ class Registry:
                     f"(dated day {event.day}, but the log has reached day {today})"
                 )
             if event.day > today:
-                registry.clock = SimClock(event.day)
+                registry.advance_clock(SimClock(event.day))
             if event.outcome == "ok":
                 try:
                     registry._replay_one(event, parse_id)

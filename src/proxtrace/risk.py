@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
+from .core import _pool_map
 from .errors import NoObservationsError, ScoreRangeError, ValidationError
 
 # Distances are drawn at least this far from the scanner: a reporting
@@ -112,11 +112,15 @@ def score_from_arrays(
             f"category index {int(categories.max())} has no weight (got {len(weights)} weights)"
         )
     w = np.asarray(weights.weights, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    raw = float((w[categories] * d).sum() / (weights.top * d.sum()))
+    return float(_score(w[categories], np.asarray(distances, dtype=float), weights))
+
+
+def _score(w: np.ndarray, d: np.ndarray, weights: WeightConfig) -> np.ndarray:
+    """The score formula over the last axis: observation weights w, distances d."""
+    raw = (w * d).sum(axis=-1) / (weights.top * d.sum(axis=-1))
     # The value is provably inside [w_K/w_1, 1]; anything past an edge is
     # summation-order rounding, so pin it back rather than leak epsilon out.
-    return min(max(raw, weights.weights[-1] / weights.top), 1.0)
+    return np.clip(raw, weights.weights[-1] / weights.top, 1.0)
 
 
 def assess_area(
@@ -195,14 +199,18 @@ def _descending_vectors(remaining: int, slots: int) -> Iterator[tuple[int, ...]]
             yield (x,) + rest
 
 
+def _check_counts(n: int, k: int) -> None:
+    if n < 0 or k < 1:
+        raise ValidationError("need n >= 0 individuals and k >= 1 categories")
+
+
 def enumerate_distributions(n: int, k: int) -> Iterator[CategoryDistribution]:
     """Yield every k-category distribution with total <= n.
 
     Order is lexicographically descending on the cardinality vector:
     (n, 0, ..., 0) comes first and the all-zero vector comes last.
     """
-    if n < 0 or k < 1:
-        raise ValidationError("need n >= 0 individuals and k >= 1 categories")
+    _check_counts(n, k)
     for vec in _descending_vectors(n, k):
         yield CategoryDistribution(vec)
 
@@ -215,8 +223,7 @@ def count_distributions(n: int, k: int) -> int:
     quantity; the exact count of distinct cardinality vectors is C(n+k, k)
     and that is what the enumerator produces.
     """
-    if n < 0 or k < 1:
-        raise ValidationError("need n >= 0 individuals and k >= 1 categories")
+    _check_counts(n, k)
     return math.comb(n + k, k)
 
 
@@ -238,68 +245,52 @@ class SurfaceCell:
     mean_score: float
 
 
-def _placement_matrix(
-    rng: np.random.Generator, placement: Placement, total: int, repeats: int, radius: float
-) -> np.ndarray:
-    if placement == "uniform":
-        return rng.uniform(MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total))
-    if placement == "equal":
-        return np.full((repeats, total), radius / 2.0)
-    raise ValidationError(f"unknown placement policy {placement!r}")
-
-
-def _mean_score(
-    counts: Sequence[int],
+def _mean_scores(
     weights: WeightConfig,
-    seed_key: tuple[int, ...],
+    radius: float,
     placement: Placement,
     repeats: int,
-    radius: float,
-) -> float:
-    total = int(sum(counts))
-    if total == 0:
-        # Empty area: reported as zero risk by convention so curves and
-        # surfaces stay total over the whole enumeration.
-        return 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed_key[0], spawn_key=seed_key[1:]))
-    d = _placement_matrix(rng, placement, total, repeats, radius)
-    w = np.asarray(weights.weights, dtype=float)
-    w_vec = np.repeat(w, np.asarray(counts, dtype=np.int64))
-    scores = (d * w_vec).sum(axis=1) / (weights.top * d.sum(axis=1))
-    np.clip(scores, weights.weights[-1] / weights.top, 1.0, out=scores)
-    return float(scores.mean())
+    seed: int,
+    jobs: int,
+    cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> list[float]:
+    """Mean score over `repeats` placements of each (rng key, counts) cell.
 
-
-def _check_placement_radius(radius: float) -> None:
+    A cell's distances come from the RNG keyed on (seed, *key), so a cell
+    scores the same in any chunk: with jobs > 1 the cells are split into
+    `jobs` chunks, each scored by this function in a worker process.
+    """
+    if repeats < 1:
+        raise ValidationError("placement repeats must be at least 1")
+    if placement not in ("uniform", "equal"):
+        raise ValidationError(f"unknown placement policy {placement!r}")
     if not MIN_PLACEMENT_DISTANCE_M <= radius < math.inf:
         raise ValidationError(
             f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
         )
-
-
-def _map_chunks(worker: Callable[[tuple], list], total: int, jobs: int, args: tuple) -> list:
-    """worker((start, stop, *args)) over [0, total) in `jobs` chunks, results in order."""
-    if jobs <= 1 or total < 64:
-        return worker((0, total, *args))
-    bounds = np.linspace(0, total, num=jobs + 1, dtype=int)
-    tasks = [(int(lo), int(hi), *args) for lo, hi in zip(bounds, bounds[1:])]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(worker, tasks):
-            out.extend(chunk)
-    return out
-
-
-def _curve_chunk(args: tuple) -> list[CurvePoint]:
-    start, stop, n, weights_tuple, radius, placement, repeats, seed = args
-    weights = WeightConfig(weights_tuple)
-    points = []
-    vectors = islice(_descending_vectors(n, len(weights)), start, stop)
-    for offset, counts in enumerate(vectors):
-        index = start + offset + 1
-        mean = _mean_score(counts, weights, (seed, index), placement, repeats, radius)
-        points.append(CurvePoint(index, counts, mean))
-    return points
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if jobs > 1 and len(cells) >= 64:  # below that a pool costs more than it saves
+        size = -(-len(cells) // jobs)
+        chunks = [cells[start : start + size] for start in range(0, len(cells), size)]
+        score = partial(_mean_scores, weights, radius, placement, repeats, seed, 1)
+        return [mean for chunk in _pool_map(score, chunks, jobs) for mean in chunk]
+    w = np.asarray(weights.weights, dtype=float)
+    means = []
+    for key, counts in cells:
+        total = sum(counts)
+        if total == 0:
+            # Empty area: reported as zero risk by convention so curves and
+            # surfaces stay total over the whole enumeration.
+            means.append(0.0)
+            continue
+        if placement == "equal":
+            d = np.full((repeats, total), radius / 2.0)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+            d = rng.uniform(MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total))
+        means.append(float(_score(np.repeat(w, counts), d, weights).mean()))
+    return means
 
 
 def risk_curve(
@@ -321,23 +312,10 @@ def risk_curve(
     """
     if len(weights) != k:
         raise ValidationError(f"need exactly {k} weights, got {len(weights)}")
-    if repeats < 1:
-        raise ValidationError("placement repeats must be at least 1")
-    _check_placement_radius(radius)
-    args = (n, weights.weights, radius, placement, repeats, seed)
-    return _map_chunks(_curve_chunk, count_distributions(n, k), jobs, args)
-
-
-def _surface_chunk(args: tuple) -> list[SurfaceCell]:
-    start, stop, n_max, weights_tuple, radius, placement, repeats, seed = args
-    weights = WeightConfig(weights_tuple)
-    cells = [(a, b) for a in range(n_max + 1) for b in range(n_max - a + 1)]
-    out = []
-    for n_a, n_b in cells[start:stop]:
-        counts = (n_a, n_b) + (0,) * (len(weights) - 2)
-        mean = _mean_score(counts, weights, (seed, n_a, n_b), placement, repeats, radius)
-        out.append(SurfaceCell(n_a, n_b, mean))
-    return out
+    _check_counts(n, k)
+    cells = [((index,), counts) for index, counts in enumerate(_descending_vectors(n, k), 1)]
+    means = _mean_scores(weights, radius, placement, repeats, seed, jobs, cells)
+    return [CurvePoint(key[0], counts, mean) for (key, counts), mean in zip(cells, means)]
 
 
 def risk_surface(
@@ -360,9 +338,14 @@ def risk_surface(
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:
         raise ValidationError("surface generation needs at least two categories")
-    _check_placement_radius(radius)
-    args = (n_max, weights.weights, radius, placement, repeats, seed)
-    return _map_chunks(_surface_chunk, count_distributions(n_max, 2), jobs, args)
+    empty = (0,) * (len(weights) - 2)
+    cells = [
+        ((n_a, n_b), (n_a, n_b) + empty)
+        for n_a in range(n_max + 1)
+        for n_b in range(n_max - n_a + 1)
+    ]
+    means = _mean_scores(weights, radius, placement, repeats, seed, jobs, cells)
+    return [SurfaceCell(*key, mean) for (key, _), mean in zip(cells, means)]
 
 
 # =========================================================================

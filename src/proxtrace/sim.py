@@ -18,14 +18,13 @@ parallelism changes an outcome.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import DeviceId, SimClock, Stage, hash_identifier
+from .core import DeviceId, SimClock, Stage, _pool_map, hash_identifier
 from .errors import ValidationError
 from .protocol import Registry, RegistryPolicy
 
@@ -81,6 +80,7 @@ class SimConfig:
             ("infectious_period", self.infectious_period >= 1),
             ("max_days", self.max_days >= 1),
             ("encounter_duration_s", self.encounter_duration_s >= 0),
+            ("seed", self.seed >= 0),
         ]
         for name, ok in checks:
             if not ok:
@@ -128,16 +128,8 @@ def _day_rng(seed: int, stream: int, day: int) -> np.random.Generator:
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64_int(z: int) -> int:
-    # splitmix64 finalizer on plain ints; masking emulates uint64 wrap.
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # Same finalizer vectorized; uint64 arithmetic wraps, which is the point.
+def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
+    # splitmix64 finalizer; uint64 arithmetic wraps, which is the point.
     with np.errstate(over="ignore"):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -146,9 +138,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _pair_uniforms(seed: int, day: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """One float in [0, 1) per (i, j) pair, independent of evaluation order."""
-    base = _mix64_int(_mix64_int((seed & _MASK64) ^ 0x9E3779B97F4A7C15) ^ (day + 1))
+    seeded = _mix64(np.uint64(seed & _MASK64) ^ np.uint64(0x9E3779B97F4A7C15))
+    base = _mix64(seeded ^ np.uint64(day + 1))
     keys = (ii.astype(np.uint64) << np.uint64(32)) | jj.astype(np.uint64)
-    hashed = _mix64(keys ^ np.uint64(base))
+    hashed = _mix64(keys ^ base)
     return (hashed >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
@@ -361,12 +354,13 @@ def compare(config: SimConfig) -> CompareResult:
     return CompareResult(baseline=baseline, app=app, summary=summary)
 
 
-def replicate_compare(config: SimConfig, replicates: int, jobs: int = 1) -> list[CompareResult]:
-    """compare() over consecutive seeds; output order is by seed offset."""
+def _replicas(config: SimConfig, replicates: int) -> list[SimConfig]:
+    """`config` on `replicates` consecutive seeds, starting at its own."""
     if replicates < 1:
         raise ValidationError("invalid value for config field 'replicates'")
-    configs = [replace(config, seed=config.seed + k) for k in range(replicates)]
-    if jobs <= 1 or replicates == 1:
-        return [compare(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(compare, configs))
+    return [replace(config, seed=config.seed + k) for k in range(replicates)]
+
+
+def replicate_compare(config: SimConfig, replicates: int, jobs: int = 1) -> list[CompareResult]:
+    """compare() over consecutive seeds; output order is by seed offset."""
+    return _pool_map(compare, _replicas(config, replicates), jobs)

@@ -48,7 +48,8 @@ def test_benchmark_tracer_installs_and_restores():
         )
         reg.record_encounter(a, b, 2.0)
         reg.scan_handshake(c, [(a, 3.0), (b, 4.0)])
-        reg.update_status(reg.issue_otc("clinic").code, a, Stage.INFECTED, clock=SimClock(2))
+        reg.advance_clock(SimClock(2))
+        reg.update_status(reg.issue_otc("clinic").code, a, Stage.INFECTED)
         reg.status_checker_tick(b)
         replayed = Registry.replay(reg.events, ["clinic"])
     assert all(installed[key] is not original for key, original in originals.items())

@@ -6,9 +6,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from proxtrace import core
 from proxtrace.cli import _build_parser, _load_sim_config, main
 from proxtrace.core import SimClock, Stage, write_contact_graph
 from proxtrace.protocol import Registry, write_event_log
@@ -122,6 +124,24 @@ def test_surface_csv(tmp_path):
     assert len(lines) == 1 + math.comb(7, 2)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["surface", "--n-max", "2", "--repeats", "0"], "placement repeats must be at least 1"),
+        (["curve", "--n", "3", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["surface", "--n-max", "3", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["surface-zero-repeats", "curve-negative-seed", "surface-negative-seed"],
+)
+def test_bad_placement_arguments_fail_before_scoring(tmp_path, capsys, args, message):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------------
 # trace
 # -------------------------------------------------------------------------
@@ -204,6 +224,54 @@ def test_simulate_bytes_reproducible_and_job_independent(tmp_path):
     assert header.endswith(",seed")  # replicated runs tag every row
 
 
+@pytest.mark.parametrize("arm", ["baseline", "app", "both"])
+def test_simulate_rejects_negative_seed_and_zero_replicates(tmp_path, capsys, arm):
+    out = tmp_path / "sim.csv"
+    for flag, value in (("--seed", "-1"), ("--replicates", "0")):
+        argv = SIM_ARGS + ["--arm", arm, flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: invalid value for config field '{flag[2:]}'"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, jobs, workers",
+    [
+        (["surface", "--n-max", "12"], "10000", 8),  # capped by the usable CPUs
+        (["surface", "--n-max", "12"], "3", 3),  # by --jobs
+        (SIM_ARGS + ["--replicates", "2"], "10000", 2),  # by the number of tasks
+    ],
+    ids=["surface-cpu-cap", "surface-jobs-cap", "simulate-task-cap"],
+)
+def test_pool_asks_for_at_most_jobs_tasks_and_cpus(tmp_path, monkeypatch, capsys, args, jobs, workers):
+    requested = []
+
+    class InlinePool:
+        """Records the worker count asked for and runs every task in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(core, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)))
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert requested == []
+    assert main(args + ["--jobs", jobs, "--out", str(pooled)]) == 0
+    assert requested == [workers]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_simulate_single_arm(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert main(SIM_ARGS + ["--arm", "baseline", "--out", str(out)]) == 0
@@ -284,8 +352,10 @@ def test_replay_matches_live_digest(tmp_path, capsys):
     for tag in "abc":
         otc = reg.issue_otc("clinic")
         ids.append(reg.register_user(otc.code, f"cli-user-{tag}").device)
-    reg.record_encounter(ids[0], ids[1], 2.0, clock=SimClock(0))
-    reg.update_status(reg.issue_otc("clinic").code, ids[0], Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(0))
+    reg.record_encounter(ids[0], ids[1], 2.0)
+    reg.advance_clock(SimClock(2))
+    reg.update_status(reg.issue_otc("clinic").code, ids[0], Stage.INFECTED)
     log = tmp_path / "events.csv"
     write_event_log(reg.events, log)
 
@@ -313,7 +383,8 @@ def test_replay_matches_live_digest(tmp_path, capsys):
 def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
     reg = Registry(["clinic"], seed=2)
     person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
-    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
+    reg.advance_clock(SimClock(1))
+    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED)
     assert reg.events[3].operation == "status_updated"
     log = tmp_path / "events.csv"
     write_event_log(reg.events[:3] + [dataclasses.replace(reg.events[3], details=details)], log)
@@ -352,7 +423,8 @@ def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, cha
     # inputs, and a valid encounter dated before the log's last day
     reg = Registry(["clinic"], seed=2)
     person = reg.register_user(reg.issue_otc("clinic").code, "cli-user-a").device
-    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED, clock=SimClock(1))
+    reg.advance_clock(SimClock(1))
+    reg.update_status(reg.issue_otc("clinic").code, person, Stage.INFECTED)
     other = reg.register_user(reg.issue_otc("clinic").code, "cli-user-b").device
     reg.record_encounter(person, other, 2.0)
     reg.scan_handshake(other, [(person, 3.0)])

@@ -7,6 +7,10 @@ with near-certain transmission, where agents already in quarantine are
 traced again and their window is replaced by a later one.  The zero-day
 policy is pinned once more at 300 agents, where the outbreak is never
 contained and every agent is reported and traced.
+
+`curve` and `surface` CSV bytes are pinned too, for both placements and
+non-default weights, radius, repeats and seed, each at --jobs 1 and 2.
+Every config has at least 64 cells, so --jobs 2 runs the process pool.
 """
 
 import hashlib
@@ -54,3 +58,28 @@ def test_simulate_csv_matches_pin(tmp_path, capsys, name, seed):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name, seed]
+
+
+GENERATOR_PINS = {
+    "curve --n 8 --k 4":
+        "91760dc199c05a86555c6adc7826cdd862115bd8228eea8e916cd299c306a32e",
+    "curve --n 8 --k 4 --placement equal --repeats 3":
+        "6e8cc98ab39714ee12e8fcd95ba3167ab7164364f767799cccf9cf0e68dc2620",
+    "curve --n 8 --k 3 --weights 0.6,0.3,0.1 --radius 7.5 --repeats 7 --seed 5":
+        "e7e680ace6439fde31a2f0b00e77ee8e550899737914d67042ac26245f9448c9",
+    "surface --n-max 12":
+        "1b7a40e3ee9036a41e713812304549069dfa51fa7a5c4d163995bba707efcecf",
+    "surface --n-max 12 --placement equal":
+        "10ee4534c5f79f2c7d68acead0ec4e0bc69766a94686f6c45e880e6a705bb21b",
+    "surface --n-max 12 --weights 0.5,0.3 --radius 4 --repeats 9 --seed 3":
+        "adab4173e62ed779bc4b95e979c6cf86445dd5d997a68afb4acd996f3e0227da",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(GENERATOR_PINS))
+def test_curve_and_surface_csv_match_pin(tmp_path, capsys, command, jobs):
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--jobs", jobs, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATOR_PINS[command]

@@ -6,6 +6,7 @@ operation, successful or failed.
 """
 
 import dataclasses
+import inspect
 import random
 
 import numpy as np
@@ -183,8 +184,9 @@ def test_encounters_make_no_device_id_hash_or_eq(device_id_calls):
     device_id_calls.update(hash=0, eq=0)
     for n in range(1000):
         left, right = rnd.sample(people, 2)  # repeats merge into one record
-        clock = SimClock(n // 250) if n % 250 == 0 else None
-        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5), clock=clock)
+        if n % 250 == 0:
+            reg.advance_clock(SimClock(n // 250))
+        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5))
     assert device_id_calls == {"hash": 0, "eq": 0}
     assert reg.clock.current_day == 3
 
@@ -194,11 +196,13 @@ def test_scan_categorisation_makes_no_device_id_hash_or_eq(device_id_calls):
     # and bystanders, so categorisation walks the contact windows
     reg = make_registry()
     s, i, *others = (enroll(reg, str(n)) for n in range(11))
+    reg.advance_clock(SimClock(4))
     for b in others[:3]:
-        reg.record_encounter(i, b, 2.0, clock=SimClock(4))
+        reg.record_encounter(i, b, 2.0)
     for c, b in zip(others[3:6], others[:3]):
         reg.record_encounter(b, c, 3.0)
-    reg.update_status(reg.issue_otc(CRED).code, i, Stage.INFECTED, clock=SimClock(5))
+    reg.advance_clock(SimClock(5))
+    reg.update_status(reg.issue_otc(CRED).code, i, Stage.INFECTED)
     neighbours = [(peer, 1.0 + n / 2) for n, peer in enumerate([i, *others])]
     assert len(neighbours) == 10
     device_id_calls.update(hash=0, eq=0)
@@ -242,15 +246,18 @@ def cascade_registry():
     """A--B on day 0, B--C on day 2, D idle; clock left at day 2."""
     reg = make_registry()
     a, b, c, d = (enroll(reg, t) for t in "abcd")
-    reg.record_encounter(a, b, 2.0, clock=SimClock(0))
-    reg.record_encounter(b, c, 2.0, clock=SimClock(2))
+    reg.advance_clock(SimClock(0))
+    reg.record_encounter(a, b, 2.0)
+    reg.advance_clock(SimClock(2))
+    reg.record_encounter(b, c, 2.0)
     return reg, a, b, c, d
 
 
 def test_infection_cascade_notifies_and_quarantines():
     reg, a, b, c, d = cascade_registry()
     otc = reg.issue_otc(CRED)
-    notes = reg.update_status(otc.code, a, Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(2))
+    notes = reg.update_status(otc.code, a, Stage.INFECTED)
 
     by_kind = {(n.kind, n.recipient) for n in notes}
     assert (NotificationKind.STATUS_POSITIVE, a) in by_kind
@@ -269,19 +276,22 @@ def test_infection_cascade_notifies_and_quarantines():
 def test_cascade_quarantine_set_is_exactly_device_plus_traced():
     reg, a, b, c, d = cascade_registry()
     otc = reg.issue_otc(CRED)
-    reg.update_status(otc.code, a, Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(2))
+    reg.update_status(otc.code, a, Stage.INFECTED)
     quarantined = {dev for dev, rec in reg.devices.items() if rec.status.quarantine is not None}
     assert quarantined == {a, b, c}
 
 
 def test_later_cascade_extends_quarantine():
     reg, a, b, c, d = cascade_registry()
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(2))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     assert reg.devices[b].status.quarantine == Quarantine(3, 13)
 
     # another case traces b again two days later: window replaced, longer end
-    reg.record_encounter(d, b, 2.0, clock=SimClock(2))
-    reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED, clock=SimClock(4))
+    reg.record_encounter(d, b, 2.0)
+    reg.advance_clock(SimClock(4))
+    reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED)
     assert reg.devices[b].status.quarantine == Quarantine(5, 15)
     assert reg.devices[a].status.quarantine == Quarantine(3, 13)  # untouched
 
@@ -289,12 +299,14 @@ def test_later_cascade_extends_quarantine():
 def test_same_day_renotification_suppressed():
     reg = make_registry()
     a, b, c, d = (enroll(reg, t) for t in "abcd")
-    reg.record_encounter(a, b, 2.0, clock=SimClock(0))
-    reg.record_encounter(d, b, 2.0, clock=SimClock(0))
-    reg.record_encounter(b, c, 2.0, clock=SimClock(2))
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(0))
+    reg.record_encounter(a, b, 2.0)
+    reg.record_encounter(d, b, 2.0)
+    reg.advance_clock(SimClock(2))
+    reg.record_encounter(b, c, 2.0)
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     # d's cascade traces b (met day 0, lookback 2) on the same day again
-    notes = reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED, clock=SimClock(2))
+    notes = reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED)
     kinds = {(n.kind, n.recipient) for n in notes}
     assert (NotificationKind.CONTACT_AT_RISK, b) not in kinds
     assert (NotificationKind.STATUS_POSITIVE, d) in kinds
@@ -332,11 +344,21 @@ def test_update_unknown_device_keeps_code_fresh():
 def test_registry_clock_is_forward_only():
     reg = make_registry()
     a = enroll(reg, "a")
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(5))
+    reg.advance_clock(SimClock(5))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     assert reg.clock.current_day == 5
     with pytest.raises(ValidationError):
         reg.advance_clock(SimClock(3))
     assert reg.clock.current_day == 5
+
+
+def test_only_advance_clock_moves_the_clock():
+    methods = (
+        Registry.__init__, Registry.update_status, Registry.record_encounter,
+        Registry.scan_handshake, Registry.status_checker_tick,
+    )
+    for method in methods:
+        assert "clock" not in inspect.signature(method).parameters, method.__name__
 
 
 # -------------------------------------------------------------------------
@@ -346,7 +368,8 @@ def test_registry_clock_is_forward_only():
 def test_encounter_is_mutual():
     reg = make_registry()
     a, b = enroll(reg, "a"), enroll(reg, "b")
-    reg.record_encounter(a, b, 3.5, 120.0, clock=SimClock(1))
+    reg.advance_clock(SimClock(1))
+    reg.record_encounter(a, b, 3.5, 120.0)
     (rec_a,) = reg.contact_list(a).records
     (rec_b,) = reg.contact_list(b).records
     assert (rec_a.peer, rec_a.day, rec_a.distance, rec_a.duration) == (b, 1, 3.5, 120.0)
@@ -396,9 +419,11 @@ def scan_registry():
     """i infected; b1 met i, c1 met b1, d1 met nobody relevant; day 5."""
     reg = make_registry()
     s, i, b1, c1, d1 = (enroll(reg, t) for t in ("s", "i", "b1", "c1", "d1"))
-    reg.record_encounter(i, b1, 2.0, clock=SimClock(4))
-    reg.record_encounter(b1, c1, 2.0, clock=SimClock(4))
-    reg.update_status(reg.issue_otc(CRED).code, i, Stage.INFECTED, clock=SimClock(5))
+    reg.advance_clock(SimClock(4))
+    reg.record_encounter(i, b1, 2.0)
+    reg.record_encounter(b1, c1, 2.0)
+    reg.advance_clock(SimClock(5))
+    reg.update_status(reg.issue_otc(CRED).code, i, Stage.INFECTED)
     return reg, s, i, b1, c1, d1
 
 
@@ -480,10 +505,12 @@ def test_scan_result_exposes_no_peer_status():
 def test_checker_reports_contact_at_risk():
     reg = make_registry()
     a, b = enroll(reg, "a"), enroll(reg, "b")
-    reg.record_encounter(a, b, 2.0, clock=SimClock(4))
+    reg.advance_clock(SimClock(4))
+    reg.record_encounter(a, b, 2.0)
     assert reg.status_checker_tick(a) is None  # nothing to report yet
-    reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED, clock=SimClock(5))
-    note = reg.status_checker_tick(a, clock=SimClock(5))
+    reg.advance_clock(SimClock(5))
+    reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED)
+    note = reg.status_checker_tick(a)
     assert note is not None and note.kind is NotificationKind.CONTACT_AT_RISK
     assert reg.status_checker_tick(a) is None  # same day: suppressed
 
@@ -491,11 +518,14 @@ def test_checker_reports_contact_at_risk():
 def test_checker_reports_stage_flip_once():
     reg = make_registry()
     a = enroll(reg, "a")
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(3))
-    note = reg.status_checker_tick(a, clock=SimClock(4))
+    reg.advance_clock(SimClock(3))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
+    reg.advance_clock(SimClock(4))
+    note = reg.status_checker_tick(a)
     assert note is not None and note.kind is NotificationKind.STATUS_POSITIVE
     assert note.day == 4
-    assert reg.status_checker_tick(a, clock=SimClock(5)) is None
+    reg.advance_clock(SimClock(5))
+    assert reg.status_checker_tick(a) is None
 
 
 def test_checker_requires_registration():
@@ -523,22 +553,28 @@ def busy_registry():
         reg.register_user("ff" * 16, "user-z")
 
     a, b, c, d, e, f = (people[t] for t in "abcdef")
-    reg.record_encounter(a, b, 1.5, clock=SimClock(1))
-    reg.record_encounter(b, c, 2.5, 300.0, clock=SimClock(2))
+    reg.advance_clock(SimClock(1))
+    reg.record_encounter(a, b, 1.5)
+    reg.advance_clock(SimClock(2))
+    reg.record_encounter(b, c, 2.5, 300.0)
     with pytest.raises(ValidationError):
         reg.record_encounter(a, b, 50.0)
-    reg.scan_handshake(d, [(a, 3.0), (e, 6.0)], clock=SimClock(3))
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(3))
+    reg.advance_clock(SimClock(3))
+    reg.scan_handshake(d, [(a, 3.0), (e, 6.0)])
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     used = reg.issue_otc(CRED)
-    reg.update_status(used.code, b, Stage.INFECTED, clock=SimClock(4))
+    reg.advance_clock(SimClock(4))
+    reg.update_status(used.code, b, Stage.INFECTED)
     with pytest.raises(OtcReplayError):
         reg.update_status(used.code, c, Stage.INFECTED)
     with pytest.raises(TransitionError):
         reg.update_status(reg.issue_otc(CRED).code, a, Stage.SUSCEPTIBLE)
-    reg.scan_handshake(f, [(b, 2.0), (c, 4.0), (d, 8.0)], clock=SimClock(5))
-    reg.status_checker_tick(c, clock=SimClock(5))
-    reg.status_checker_tick(e, clock=SimClock(5))
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.RECOVERED, clock=SimClock(6))
+    reg.advance_clock(SimClock(5))
+    reg.scan_handshake(f, [(b, 2.0), (c, 4.0), (d, 8.0)])
+    reg.status_checker_tick(c)
+    reg.status_checker_tick(e)
+    reg.advance_clock(SimClock(6))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.RECOVERED)
     return reg
 
 
@@ -591,9 +627,11 @@ def test_min_duration_policy_filters_trace():
     policy = RegistryPolicy(min_contact_duration_s=60.0)
     reg = Registry([CRED], seed=1, policy=policy)
     a, b, c = (enroll(reg, t) for t in "abc")
-    reg.record_encounter(a, b, 2.0, 30.0, clock=SimClock(0))   # too brief
-    reg.record_encounter(a, c, 2.0, 120.0, clock=SimClock(0))  # long enough
-    notes = reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(2))
+    reg.advance_clock(SimClock(0))
+    reg.record_encounter(a, b, 2.0, 30.0)   # too brief
+    reg.record_encounter(a, c, 2.0, 120.0)  # long enough
+    reg.advance_clock(SimClock(2))
+    notes = reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     at_risk = {n.recipient for n in notes if n.kind is NotificationKind.CONTACT_AT_RISK}
     assert at_risk == {c}
 
@@ -654,7 +692,8 @@ def reported_registry():
     """a registered, then reported infected on day 1; events 1-4."""
     reg = make_registry()
     a = enroll(reg, "a")
-    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED, clock=SimClock(1))
+    reg.advance_clock(SimClock(1))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     assert [e.operation for e in reg.events] == [
         "otc_issued", "user_registered", "otc_issued", "status_updated",
     ]
@@ -733,7 +772,8 @@ def test_replay_parses_each_id_once(monkeypatch):
     rnd = random.Random(5)
     for n in range(200):
         left, right = rnd.sample(people, 2)
-        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5), clock=SimClock(n // 50))
+        reg.advance_clock(SimClock(n // 50))
+        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5))
         reg.scan_handshake(left, [(p, 3.0) for p in people])
         reg.status_checker_tick(right)
     calls = []
@@ -773,7 +813,8 @@ def test_replay_matches_live_on_edge_inputs(tmp_path, request_kind):
         assert reg.events[-1].outcome == "ValidationError"
     else:
         distance = 2 if request_kind == "int-distance" else np.float64(2.5)
-        reg.record_encounter(s, n, distance, clock=SimClock(1))
+        reg.advance_clock(SimClock(1))
+        reg.record_encounter(s, n, distance)
         assert type(reg.contact_list(s).records[0].distance) is float
     path = tmp_path / "events.csv"
     write_event_log(reg.events, path)

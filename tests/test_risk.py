@@ -306,6 +306,15 @@ def test_curve_requires_matching_weights():
         risk_curve(3, 3, DEFAULT_WEIGHTS)  # 4 weights, k=3
 
 
+@pytest.mark.parametrize("bad", [{"placement": "bogus"}, {"seed": -1}, {"repeats": 0}])
+def test_generators_check_placement_arguments_before_scoring(bad):
+    # n = 0 has only the empty cell, which scores 0 without any placement
+    with pytest.raises(ValidationError):
+        risk_curve(0, 4, **bad)
+    with pytest.raises(ValidationError):
+        risk_surface(0, **bad)
+
+
 def test_downward_mass_shifts_never_increase_score_at_equal_distance():
     # Walk random chains that move one individual to a lower category per
     # step; at equal distances the score must be weakly decreasing.

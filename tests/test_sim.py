@@ -1,6 +1,7 @@
 """Epidemic loop: determinism, conservation, coupling between arms."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from proxtrace.core import Stage
 from proxtrace.errors import ValidationError
 from proxtrace.sim import (
     _STAFF_CREDENTIAL,
+    _pair_uniforms,
     CompareResult,
     DayStats,
     SimConfig,
@@ -45,6 +47,7 @@ def test_config_validation_names_the_field():
         "bluetooth_range": 0.0,
         "encounter_duration_s": -1.0,
         "arena_side": 0.0,
+        "seed": -1,
     }
     for field, value in bad.items():
         with pytest.raises(ValidationError, match=field):
@@ -271,3 +274,27 @@ def test_day_stats_fields():
     assert stats.day == 0
     assert stats.cumulative_infections >= 1
     assert world.day == 1
+
+
+# -------------------------------------------------------------------------
+# keyed randomness
+# -------------------------------------------------------------------------
+
+# sha256 of the little-endian float64 draws for PAIR_II x PAIR_JJ
+PAIR_II = np.array([0, 1, 5, 1999, 40], dtype=np.int64)
+PAIR_JJ = np.array([1, 7, 6, 2000, 1234], dtype=np.int64)
+PAIR_UNIFORM_PINS = {
+    (0, 0): "154c8ce305469e08194fb271955ca62d5a1cba5c8cf221dd299e186ad1c30bdc",
+    (1, 3): "68d008de7a370ab5ad2486b3790356857d8d11aa12c5c9d8c7c4abf781f562c3",
+    (12345, 59): "0a380766fd72d32811b874129f986736d48d238070dd67bd4e6aefbcde6a1a1e",
+    (2**63, 7): "1787e3978f8028b9350db59c256c4ed9fb5cc6f7108edf0d7f84f1b401552477",
+    (2**64 - 1, 1): "b9878422aa0c2a05b1b0c5768a8e66df8ef98ad89cfd53a1fc564139f2ee8b4a",
+}
+
+
+@pytest.mark.parametrize("seed, day", sorted(PAIR_UNIFORM_PINS))
+def test_pair_uniforms_match_pin(seed, day):
+    u = _pair_uniforms(seed, day, PAIR_II, PAIR_JJ)
+    assert ((u >= 0) & (u < 1)).all()
+    digest = hashlib.sha256(u.astype("<f8").tobytes()).hexdigest()
+    assert digest == PAIR_UNIFORM_PINS[seed, day]
