@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .core import Category, DeviceId, SimClock, read_contact_graph
+from .core import Category, DeviceId, SimClock, _pool_map
 from .errors import NoObservationsError, ProxTraceError, ValidationError
 from .protocol import Registry, read_event_log
 from .risk import (
@@ -37,7 +37,7 @@ from .risk import (
     write_surface_csv,
 )
 from .sim import DayStats, SimConfig, _replicas, replicate_compare, run
-from .tracing import trace_co_contacts
+from .tracing import _two_hop_graph, trace_co_contacts
 
 OK, FAILURE, NO_DATA = 0, 1, 2
 
@@ -154,8 +154,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    graph = read_contact_graph(args.graph)
-    index_case = DeviceId.from_hex(args.case)
+    # A malformed graph row is reported ahead of a bad --case or --day.
+    try:
+        index_case = DeviceId.from_hex(args.case)
+    except ValidationError:
+        _two_hop_graph(args.graph, None, args.day)
+        raise
+    graph = _two_hop_graph(args.graph, index_case, args.day)
     traced = trace_co_contacts(index_case, graph, SimClock(args.day))
     lines = [device.hex for device in traced]
     if args.out:
@@ -252,8 +257,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     else:
         arm_config = dataclasses.replace(config, app_enabled=args.arm == "app")
-        for seeded in _replicas(arm_config, args.replicates):
-            stats = run(seeded)
+        seeded_configs = _replicas(arm_config, args.replicates)
+        for seeded, stats in zip(seeded_configs, _pool_map(run, seeded_configs, args.jobs)):
             rows.extend(_sim_rows(stats, args.arm, seeded.seed if multi else None))
             summaries.append(
                 f"seed {seeded.seed}: {args.arm} {stats[-1].cumulative_infections}/{config.population}"

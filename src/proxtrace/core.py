@@ -195,12 +195,17 @@ class ContactRecord:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.day < 0:
-            raise ValidationError("contact day must be non-negative")
-        if not 0 < self.distance < math.inf:
-            raise ValidationError("contact distance must be strictly positive and finite")
-        if not 0 <= self.duration < math.inf:
-            raise ValidationError("contact duration must be non-negative and finite")
+        _check_contact(self.day, self.distance, self.duration)
+
+
+def _check_contact(day: int, distance: float, duration: float) -> None:
+    """The range checks of one ContactRecord, also run on graph rows that build none."""
+    if day < 0:
+        raise ValidationError("contact day must be non-negative")
+    if not 0 < distance < math.inf:
+        raise ValidationError("contact distance must be strictly positive and finite")
+    if not 0 <= duration < math.inf:
+        raise ValidationError("contact duration must be non-negative and finite")
 
 
 def _merge_records(records: Iterable[ContactRecord]) -> tuple[ContactRecord, ...]:
@@ -281,37 +286,44 @@ def write_contact_graph(graph: Mapping[DeviceId, ContactList], path: str | Path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(GRAPH_CSV_HEADER)
-        for owner in sorted(graph):
-            for rec in graph[owner].records:
-                writer.writerow(
-                    [owner.hex, rec.peer.hex, rec.day, repr(rec.distance), repr(rec.duration)]
-                )
+        for owner in sorted(graph, key=lambda device: device.digest):
+            owner_hex = owner.digest.hex()
+            # csv writes a float as its repr
+            writer.writerows(
+                (owner_hex, rec.peer.digest.hex(), rec.day, rec.distance, rec.duration)
+                for rec in graph[owner].records
+            )
+
+
+def _contact_rows(path: str | Path) -> Iterator[tuple[DeviceId, DeviceId, int, float, float]]:
+    """Each data row of a contact graph CSV as (owner, peer, day, distance, duration).
+
+    Every row gets ContactRecord's range checks; each distinct id text is
+    parsed once.  Raises ValidationError naming the first malformed line.
+    """
+    parse = hex_interner()
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or (lineno == 1 and tuple(row) == GRAPH_CSV_HEADER):
+                continue
+            try:
+                owner, peer = parse(row[0]), parse(row[1])
+                day, distance, duration = int(row[2]), float(row[3]), float(row[4])
+                _check_contact(day, distance, duration)
+            except (IndexError, ValueError, ValidationError) as exc:
+                raise ValidationError(f"line {lineno}: malformed contact row ({exc})") from exc
+            yield owner, peer, day, distance, duration
 
 
 def read_contact_graph(path: str | Path) -> dict[DeviceId, ContactList]:
     """Parse a contact graph CSV written by write_contact_graph.
 
-    Each distinct id text is parsed once.  Raises ValidationError naming
-    the offending line on malformed input.
+    Raises ValidationError naming the offending line on malformed input.
     """
-    parse = hex_interner()
     rows: dict[bytes, tuple[DeviceId, list[ContactRecord]]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and tuple(row) == GRAPH_CSV_HEADER):
-                continue
-            try:
-                owner = parse(row[0])
-                record = ContactRecord(
-                    peer=parse(row[1]),
-                    day=int(row[2]),
-                    distance=float(row[3]),
-                    duration=float(row[4]),
-                )
-            except (IndexError, ValueError, ValidationError) as exc:
-                raise ValidationError(f"line {lineno}: malformed contact row ({exc})") from exc
-            rows.setdefault(owner.digest, (owner, []))[1].append(record)
+    for owner, peer, day, distance, duration in _contact_rows(path):
+        record = ContactRecord(peer, day, distance, duration)
+        rows.setdefault(owner.digest, (owner, []))[1].append(record)
     return {owner: ContactList(owner, tuple(records)) for owner, records in rows.values()}
 
 

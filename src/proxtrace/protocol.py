@@ -211,13 +211,13 @@ class _ContactStore:
         return ContactList(ids[owner], records)
 
     def rows(self) -> list[tuple[str, int, str, float, float]]:
-        ids = self._ids
+        hexes = [device.digest.hex() for device in self._ids]
         out = []
         for owner, days in enumerate(self._entries):
-            owner_hex = ids[owner].hex
+            owner_hex = hexes[owner]
             for day, peers in days.items():
                 for peer, (distance, duration) in peers.items():
-                    out.append((owner_hex, day, ids[peer].hex, distance, duration))
+                    out.append((owner_hex, day, hexes[peer], distance, duration))
         out.sort()
         return out
 
@@ -747,20 +747,21 @@ class Registry:
 # Event log CSV
 # =========================================================================
 
+# One encoder for every event: json.dumps with these options builds a new one per call.
+_DETAILS_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_event_log(events: Sequence[Event], path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(EVENT_LOG_HEADER)
-        for event in events:
-            writer.writerow(
-                [
-                    event.day,
-                    event.operation,
-                    event.actor,
-                    event.outcome,
-                    json.dumps(dict(event.details), sort_keys=True, separators=(",", ":")),
-                ]
+        writer.writerows(
+            (
+                event.day, event.operation, event.actor, event.outcome,
+                _DETAILS_JSON.encode(dict(event.details)),
             )
+            for event in events
+        )
 
 
 def read_event_log(path: str | Path) -> list[Event]:

@@ -9,13 +9,17 @@ same-day expansion catches the people those contacts went on to meet.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Mapping
 
-from .core import ContactList, DeviceId, SimClock
+from .core import ContactList, ContactRecord, DeviceId, SimClock, _contact_rows
 from .errors import UnknownDeviceError
 
 # Days between a contact with the index case and the day the trace runs.
 TRACE_LOOKBACK_DAYS = 2
+
+# One kept graph row, without its owner: a ContactRecord's fields.
+_Row = tuple[DeviceId, int, float, float]
 
 
 def trace_co_contacts(
@@ -53,3 +57,41 @@ def trace_co_contacts(
                     _add(co.peer)
         _add(rec.peer)
     return tuple(found)
+
+
+def _two_hop_graph(
+    path: str | Path, index_case: DeviceId | None, today: int
+) -> dict[DeviceId, ContactList]:
+    """The part of a contact graph CSV that tracing `index_case` on `today` reads.
+
+    Every row is parsed and checked as read_contact_graph checks it, but
+    only the index case's rows dated the lookback day or today and other
+    owners' rows dated today are kept, as tuples.  Contact lists are built
+    for the index case, if it owns a row, and for each peer it met on the
+    lookback day that owns a row dated today.  A None index case keeps
+    nothing.
+    """
+    lookback_day = today - TRACE_LOOKBACK_DAYS
+    case = index_case.digest if index_case is not None else None
+    case_owns_rows = False
+    case_rows: list[_Row] = []
+    today_rows: dict[bytes, list[_Row]] = {}
+    for owner, peer, day, distance, duration in _contact_rows(path):
+        if owner.digest == case:
+            case_owns_rows = True
+            if day == lookback_day or day == today:
+                case_rows.append((peer, day, distance, duration))
+        elif day == today:
+            today_rows.setdefault(owner.digest, []).append((peer, day, distance, duration))
+    if index_case is None or not case_owns_rows:
+        return {}
+
+    def contact_list(owner: DeviceId, rows: list[_Row]) -> ContactList:
+        return ContactList(owner, tuple(ContactRecord(*row) for row in rows))
+
+    graph = {index_case: contact_list(index_case, case_rows)}
+    for peer, day, _, _ in case_rows:
+        rows = today_rows.pop(peer.digest, None) if day == lookback_day else None
+        if rows is not None:
+            graph[peer] = contact_list(peer, rows)
+    return graph

@@ -1,23 +1,37 @@
 """Command line behaviour: outputs, exit codes, manifests, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtrace import core
 from proxtrace.cli import _build_parser, _load_sim_config, main
-from proxtrace.core import SimClock, Stage, write_contact_graph
+from proxtrace.core import (
+    ContactRecord,
+    DeviceId,
+    SimClock,
+    Stage,
+    read_contact_graph,
+    write_contact_graph,
+)
+from proxtrace.errors import ProxTraceError
 from proxtrace.protocol import Registry, write_event_log
 from proxtrace.sim import SimConfig
 from proxtrace.tracing import trace_co_contacts
 
-from conftest import contacts, device
+from conftest import bad_graph_cases, contacts, device, write_graph_csv
 
 
 def sha256(path):
@@ -189,6 +203,131 @@ def test_trace_missing_graph_file(tmp_path, capsys):
     assert main(["trace", "--graph", str(tmp_path / "nope.csv"), "--case", "00" * 16, "--day", "1"]) == 1
 
 
+def run_trace(path, case_hex, day):
+    """`proxtrace trace` in this process: (exit code, stdout lines, stderr lines)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["trace", "--graph", str(path), "--case", case_hex, "--day", str(day)])
+    return rc, out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
+def full_read_trace(path, case_hex, day):
+    """The reference: read the whole graph, then check --case, then --day, then trace."""
+    try:
+        graph = read_contact_graph(path)
+        traced = trace_co_contacts(DeviceId.from_hex(case_hex), graph, SimClock(day))
+    except ProxTraceError as exc:
+        return 1, [], [f"error: {exc}"]
+    return 0, [d.hex for d in traced], []
+
+
+# rows are (owner, peer, day, distance, duration, upper-case owner, upper-case
+# peer) over four devices, of which only the first three can own a row
+trace_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.floats(0.01, 10.0),
+        st.floats(0.0, 600.0),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_rows, st.randoms(use_true_random=False), st.booleans())
+def test_trace_matches_the_full_read_oracle(tmp_path_factory, rows, rnd, upper_case):
+    pool = [device(f"trace-{i}") for i in range(4)]
+    rows = rows + rows[: len(rows) // 2]  # exact duplicate rows as well
+    rnd.shuffle(rows)
+
+    def text(i, upper):
+        return pool[i].hex.upper() if upper else pool[i].hex
+
+    path = tmp_path_factory.mktemp("graph") / "graph.csv"
+    write_graph_csv(path, [
+        f"{text(owner, up_owner)},{text(peer, up_peer)},{d},{distance!r},{duration!r}"
+        for owner, peer, d, distance, duration, up_owner, up_peer in rows
+    ])
+    # every index case, the last one owning no row, on days around every row's
+    for case, day in itertools.product(range(4), range(-1, 6)):
+        case_hex = text(case, upper_case)
+        assert run_trace(path, case_hex, day) == full_read_trace(path, case_hex, day)
+
+
+def test_trace_expands_a_self_row_through_the_case_s_own_rows_today(tmp_path):
+    # a met itself on the lookback day, so a's own contacts today enter its trace
+    a, b, x = device("a"), device("b"), device("x")
+    path = tmp_path / "graph.csv"
+    write_graph_csv(path, [
+        f"{a.hex},{a.hex},3,1.0,60.0",
+        f"{a.hex},{x.hex},5,1.0,60.0",
+        f"{b.hex},{a.hex},5,2.0,5.0",
+    ])
+    assert run_trace(path, a.hex, 5) == full_read_trace(path, a.hex, 5) == (0, [x.hex], [])
+
+
+def test_trace_reports_the_first_bad_graph_line(tmp_path):
+    for n, (rows, bad_line) in enumerate(bad_graph_cases()):
+        path = tmp_path / f"graph-{n}.csv"
+        write_graph_csv(path, rows)
+        rc, out, err = run_trace(path, device("a").hex, 4)
+        assert (rc, out, len(err)) == (1, [], 1), n
+        assert err[0].startswith(f"error: line {bad_line}: malformed contact row ("), n
+        assert (rc, out, err) == full_read_trace(path, device("a").hex, 4), n
+
+
+def test_trace_reports_a_bad_graph_ahead_of_a_bad_case_or_day(tmp_path):
+    rows, bad_line = bad_graph_cases()[-1]
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    write_graph_csv(bad, rows)
+    write_graph_csv(good, rows[:-1])
+    a = device("a").hex
+    graph_error = f"error: line {bad_line}: malformed contact row (invalid literal for int() with base 10: 'x')"
+    for case_hex, day, error in (
+        ("zz", 4, "error: not a hex digest: 'zz'"),
+        (a[:30], 4, "error: device digest must be exactly 16 bytes"),
+        (a, -1, "error: day counter cannot be negative"),
+        ("zz", -1, "error: not a hex digest: 'zz'"),
+    ):
+        assert run_trace(bad, case_hex, day) == full_read_trace(bad, case_hex, day) == (1, [], [graph_error])
+        assert run_trace(good, case_hex, day) == full_read_trace(good, case_hex, day) == (1, [], [error])
+
+
+def test_trace_builds_records_only_for_the_two_hop_rows(tmp_path, monkeypatch):
+    rnd = random.Random(5)
+    reg = Registry(["clinic"], seed=5)
+    people = [reg.register_user(reg.issue_otc("clinic").code, f"hop-{i}").device for i in range(60)]
+    for day in range(6):
+        reg.advance_clock(SimClock(day))
+        for _ in range(120):
+            left, right = rnd.sample(people, 2)
+            reg.record_encounter(left, right, rnd.uniform(0.5, 9.5))
+    path = tmp_path / "graph.csv"
+    write_contact_graph(reg.contact_graph, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    case = people[0]
+    rows_today = sum(1 for row in rows if row[2] == "5")
+    case_rows_on_lookback_day = sum(1 for row in rows if row[0] == case.hex and row[2] == "3")
+    assert rows_today and case_rows_on_lookback_day and len(rows) > 3 * rows_today
+
+    built = []
+    check = ContactRecord.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ContactRecord, "__post_init__", counted)
+    rc, out, _ = run_trace(path, case.hex, 5)
+    monkeypatch.undo()
+    assert (rc, out) == (0, [d.hex for d in trace_co_contacts(case, reg.contact_graph, SimClock(5))])
+    assert 0 < len(built) <= rows_today + case_rows_on_lookback_day
+
+
 # -------------------------------------------------------------------------
 # simulate
 # -------------------------------------------------------------------------
@@ -241,8 +380,9 @@ def test_simulate_rejects_negative_seed_and_zero_replicates(tmp_path, capsys, ar
         (["surface", "--n-max", "12"], "10000", 8),  # capped by the usable CPUs
         (["surface", "--n-max", "12"], "3", 3),  # by --jobs
         (SIM_ARGS + ["--replicates", "2"], "10000", 2),  # by the number of tasks
+        (SIM_ARGS + ["--arm", "app", "--replicates", "2"], "10000", 2),  # one arm as well
     ],
-    ids=["surface-cpu-cap", "surface-jobs-cap", "simulate-task-cap"],
+    ids=["surface-cpu-cap", "surface-jobs-cap", "simulate-task-cap", "simulate-app-task-cap"],
 )
 def test_pool_asks_for_at_most_jobs_tasks_and_cpus(tmp_path, monkeypatch, capsys, args, jobs, workers):
     requested = []

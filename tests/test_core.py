@@ -23,7 +23,7 @@ from proxtrace.core import (
 )
 from proxtrace.errors import TransitionError, ValidationError
 
-from conftest import contacts, device
+from conftest import bad_graph_cases, contacts, device, write_graph_csv
 
 
 # -------------------------------------------------------------------------
@@ -269,23 +269,8 @@ def test_contact_graph_csv_matches_reference_merge(tmp_path_factory, rows, rnd):
 
 
 def test_contact_graph_csv_reports_bad_line(tmp_path):
-    good = f"{device('a').hex},{device('b').hex},2,1.5,60.0"
-    cases = [  # (rows after the header, the line that must be named)
-        (["not-hex,xx,a,b,c"], 2),
-        # the owner parsed fine on line 2; line 3 fails on its peer
-        ([good, f"{device('a').hex},zz{device('b').hex[2:]},2,1.5,60.0"], 3),
-        ([f"{device('a').hex[:30]},{device('b').hex},2,1.5,60.0"], 2),  # a 15-byte id
-        ([good, good.replace(",2,", ",-1,")], 3),  # day -1
-        ([good.replace(",1.5,", ",0,")], 2),  # distance 0
-        ([good, good, good.replace(",60.0", ",-1.0")], 4),  # negative duration
-        ([good, good.replace(",1.5,", ",inf,")], 3),  # infinite distance
-        ([good.replace(",60.0", ",nan"), good], 2),  # NaN duration
-    ]
-    for n, (rows, bad_line) in enumerate(cases):
+    for n, (rows, bad_line) in enumerate(bad_graph_cases()):
         path = tmp_path / f"graph-{n}.csv"
-        path.write_text(
-            "owner_digest_hex,peer_digest_hex,day,distance_m,duration_s\n"
-            + "\n".join(rows) + "\n"
-        )
+        write_graph_csv(path, rows)
         with pytest.raises(ValidationError, match=f"^line {bad_line}: malformed contact row"):
             read_contact_graph(path)
