@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .core import Category, DeviceId, SimClock, _pool_map
+from .core import Category, DeviceId, SimClock, _pool_map, _unreadable_text_is_invalid
 from .errors import NoObservationsError, ProxTraceError, ValidationError
 from .protocol import Registry, read_event_log
 from .risk import (
@@ -88,10 +88,11 @@ def _write_manifest(command: str, params: dict, seed: int | None, outputs: list[
         handle.write("\n")
 
 
-def _read_observation_rows(path: str, k: int) -> tuple[list[int], list[float]]:
+def _read_observation_rows(path: str) -> tuple[list[int], list[float]]:
+    """Parse the rows; assess_area owns the range checks on what they hold."""
     categories: list[int] = []
     distances: list[float] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or (lineno == 1 and [c.strip().lower() for c in row] == ["category", "distance"]):
                 continue
@@ -100,18 +101,12 @@ def _read_observation_rows(path: str, k: int) -> tuple[list[int], list[float]]:
                     raise ValidationError("expected exactly two fields (category, distance)")
                 raw_cat = row[0].strip()
                 if raw_cat.lstrip("+-").isdigit():
-                    cat = int(raw_cat)
+                    categories.append(int(raw_cat))
                 else:
-                    cat = int(Category.from_letter(raw_cat))
-                if not 0 <= cat < k:
-                    raise ValidationError(f"category index {cat} outside 0..{k - 1}")
-                distance = float(row[1])
-                if not distance > 0:
-                    raise ValidationError("distance must be strictly positive")
+                    categories.append(int(Category.from_letter(raw_cat)))
+                distances.append(float(row[1]))
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"line {lineno}: {exc}") from exc
-            categories.append(cat)
-            distances.append(distance)
     return categories, distances
 
 
@@ -121,7 +116,7 @@ def _read_observation_rows(path: str, k: int) -> tuple[list[int], list[float]]:
 
 def _cmd_risk(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    categories, distances = _read_observation_rows(args.observations, len(weights))
+    categories, distances = _read_observation_rows(args.observations)
     if not categories:
         print("no observations: nothing to score", file=sys.stderr)
         return NO_DATA
@@ -182,7 +177,7 @@ def _load_sim_config(args: argparse.Namespace) -> SimConfig:
     values: dict[str, object] = {}
     field_types = {f.name: f.type for f in dataclasses.fields(SimConfig)}
     if args.config:
-        with open(args.config) as handle:
+        with open(args.config) as handle, _unreadable_text_is_invalid(args.config):
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

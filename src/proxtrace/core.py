@@ -9,6 +9,7 @@ process-pool fan-out the curve, surface and replicate runs share.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
@@ -295,6 +296,21 @@ def write_contact_graph(graph: Mapping[DeviceId, ContactList], path: str | Path)
             )
 
 
+@contextlib.contextmanager
+def _unreadable_text_is_invalid(path: str | Path) -> Iterator[None]:
+    """Re-raise a read that meets undecodable bytes or an over-long csv field
+    as ValidationError naming the file.
+
+    Wraps a whole reader loop, so the rows themselves pay nothing for it.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _contact_rows(path: str | Path) -> Iterator[tuple[DeviceId, DeviceId, int, float, float]]:
     """Each data row of a contact graph CSV as (owner, peer, day, distance, duration).
 
@@ -302,7 +318,7 @@ def _contact_rows(path: str | Path) -> Iterator[tuple[DeviceId, DeviceId, int, f
     parsed once.  Raises ValidationError naming the first malformed line.
     """
     parse = hex_interner()
-    with open(path, newline="") as handle:
+    with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or (lineno == 1 and tuple(row) == GRAPH_CSV_HEADER):
                 continue

@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -46,6 +47,7 @@ from .core import (
     Quarantine,
     SimClock,
     Stage,
+    _unreadable_text_is_invalid,
     hash_identifier,
     hex_interner,
 )
@@ -117,6 +119,24 @@ class RegistryPolicy:
     # Duration booked for a scan-observed encounter (scans are point events).
     encounter_duration_s: float = 60.0
 
+    def __post_init__(self) -> None:
+        checks = [
+            (
+                "quarantine_days",
+                isinstance(self.quarantine_days, Integral) and self.quarantine_days >= 0,
+            ),
+            (
+                "contact_window_days",
+                isinstance(self.contact_window_days, Integral) and self.contact_window_days >= 0,
+            ),
+            ("bluetooth_range_m", 0 < self.bluetooth_range_m < math.inf),
+            ("min_contact_duration_s", 0 <= self.min_contact_duration_s < math.inf),
+            ("encounter_duration_s", 0 <= self.encounter_duration_s < math.inf),
+        ]
+        for name, ok in checks:
+            if not ok:
+                raise ValidationError(f"invalid value for policy field {name!r}")
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -185,10 +205,8 @@ class _ContactStore:
     def on_day(self, owner: int, day: int) -> dict[int, list[float]]:
         return self._entries[owner].get(day, {})
 
-    def window_peers(self, owner: int, first_day: int, last_day: int) -> Iterator[int]:
-        days = self._entries[owner]
-        for day in range(first_day, last_day + 1):
-            yield from days.get(day, ())
+    def by_day(self, owner: int) -> dict[int, dict[int, list[float]]]:
+        return self._entries[owner]
 
     def contact_list(
         self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
@@ -296,6 +314,9 @@ class Registry:
         self._handle: dict[bytes, int] = {}
         self._ids: list[DeviceId] = []
         self._records: list[DeviceRecord] = []
+        # Whether each device's stage is INFECTED, derived from its record
+        # by the row writers (_register, _set_status) for the exposure scans.
+        self._infected: list[bool] = []
         self._last_checked: list[Stage] = []
         self._store = _ContactStore(self._ids)
         self._log_events = log_events
@@ -398,6 +419,7 @@ class Registry:
         self._handle[device.digest] = len(self._ids)
         self._ids.append(device)
         self._records.append(record)
+        self._infected.append(stage is Stage.INFECTED)
         self._last_checked.append(stage)
         self._store.add_owner()
         self._log("user_registered", device.hex, "ok", code=otc_code, status=stage.value)
@@ -484,6 +506,7 @@ class Registry:
     def _set_status(self, handle: int, status: HealthStatus) -> None:
         record = self._records[handle]
         self._records[handle] = DeviceRecord(record.device, status, record.registered_day)
+        self._infected[handle] = status.stage is Stage.INFECTED
 
     # ------------------------------------------------------------------
     # encounters and scans
@@ -590,22 +613,26 @@ class Registry:
 
     def _categorize(self, handle: int, day: int) -> int:
         """Category of one observed neighbor, judged on current knowledge."""
-        if self._records[handle].status.stage is Stage.INFECTED:
+        if self._infected[handle]:
             return 0  # infected
         if self._met_infected(handle, day):
             return 1  # contact of an infected device within the window
-        window = self._store.window_peers(
-            handle, day - self.policy.contact_window_days, day
-        )
-        for peer in window:
-            if peer != handle and self._met_infected(peer, day):
-                return 2  # contact of a category-B device within the window
+        days = self._store.by_day(handle)
+        for d in range(day - self.policy.contact_window_days, day + 1):
+            for peer in days.get(d, ()):
+                if peer != handle and self._met_infected(peer, day):
+                    return 2  # contact of a category-B device within the window
         return 3
 
     def _met_infected(self, handle: int, day: int) -> bool:
-        records = self._records
-        window = self._store.window_peers(handle, day - self.policy.contact_window_days, day)
-        return any(records[peer].status.stage is Stage.INFECTED for peer in window)
+        """Whether the device met an infected device in the window ending on `day`."""
+        days = self._store.by_day(handle)
+        is_infected = self._infected.__getitem__
+        for d in range(day - self.policy.contact_window_days, day + 1):
+            peers = days.get(d)
+            if peers and any(map(is_infected, peers)):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # status checker
@@ -766,7 +793,7 @@ def write_event_log(events: Sequence[Event], path: str | Path) -> None:
 
 def read_event_log(path: str | Path) -> list[Event]:
     events: list[Event] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and tuple(row) == EVENT_LOG_HEADER):

@@ -70,8 +70,8 @@ class SimConfig:
         checks = [
             ("population", self.population >= 1),
             ("initial_infected", 0 <= self.initial_infected <= self.population),
-            ("arena_side", self.arena_side is None or self.arena_side > 0),
-            ("bluetooth_range", self.bluetooth_range > 0),
+            ("arena_side", self.arena_side is None or 0 < self.arena_side < math.inf),
+            ("bluetooth_range", 0 < self.bluetooth_range < math.inf),
             ("infection_radius", 0 < self.infection_radius <= self.bluetooth_range),
             ("infection_probability", 0.0 <= self.infection_probability <= 1.0),
             ("symptom_onset_delay", self.symptom_onset_delay >= 0),
@@ -79,7 +79,7 @@ class SimConfig:
             ("quarantine_days", self.quarantine_days >= 0),
             ("infectious_period", self.infectious_period >= 1),
             ("max_days", self.max_days >= 1),
-            ("encounter_duration_s", self.encounter_duration_s >= 0),
+            ("encounter_duration_s", 0 <= self.encounter_duration_s < math.inf),
             ("seed", self.seed >= 0),
         ]
         for name, ok in checks:

@@ -26,8 +26,9 @@ from proxtrace.core import (
     read_contact_graph,
     write_contact_graph,
 )
-from proxtrace.errors import ProxTraceError
-from proxtrace.protocol import Registry, write_event_log
+from proxtrace.errors import ProxTraceError, ValidationError
+from proxtrace.protocol import Registry, read_event_log, write_event_log
+from proxtrace.risk import DEFAULT_WEIGHTS, assess_area
 from proxtrace.sim import SimConfig
 from proxtrace.tracing import trace_co_contacts
 
@@ -70,6 +71,21 @@ def test_risk_malformed_row_names_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "row, categories, distances",
+    [("A,0", [0], [0.0]), ("A,nan", [0], [math.nan]), ("9,1.0", [9], [1.0])],
+    ids=["zero-distance", "nan-distance", "category-without-weight"],
+)
+def test_risk_range_errors_are_assess_area_s(tmp_path, capsys, row, categories, distances):
+    # the CLI parses rows; what the values may be is assess_area's rule alone
+    with pytest.raises(ValidationError) as expected:
+        assess_area(categories, distances, DEFAULT_WEIGHTS)
+    obs = tmp_path / "obs.csv"
+    obs.write_text(row + "\n")
+    assert main(["risk", "--observations", str(obs)]) == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
 
 
 def test_risk_custom_weights(tmp_path, capsys):
@@ -578,6 +594,59 @@ def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, cha
     err = capsys.readouterr().err
     assert err.startswith(f"error: event 9: cannot replay {copy.operation!r}")
     assert cause in err
+
+
+# -------------------------------------------------------------------------
+# unreadable input files
+# -------------------------------------------------------------------------
+
+NOT_UTF8 = b"\xff"
+# one field past the csv module's default limit of 131 072 characters
+OVERLONG_FIELD = b'"' + b"x" * 200_000 + b'"'
+
+
+def _graph_bytes(tail: bytes) -> bytes:
+    a, b = device("a").hex, device("b").hex
+    return f"{','.join(core.GRAPH_CSV_HEADER)}\n{a},{b},4,2.0,60.0\n".encode() + tail + b"\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["trace", "--case", "00" * 16, "--day", "4", "--graph"], _graph_bytes(NOT_UTF8)),
+        (["trace", "--case", "00" * 16, "--day", "4", "--graph"], _graph_bytes(OVERLONG_FIELD)),
+        (["trace", "--case", "zz", "--day", "4", "--graph"], _graph_bytes(NOT_UTF8)),
+        (["replay", "--log"], b"day,operation,actor_digest,outcome,details\n" + NOT_UTF8 + b"\n"),
+        (["replay", "--log"], b"0,scan," + OVERLONG_FIELD + b",ok,\n"),
+        (["risk", "--observations"], b"A,2.0\n" + NOT_UTF8 + b",1.0\n"),
+        (["risk", "--observations"], b"A," + OVERLONG_FIELD + b"\n"),
+        (["simulate", "--out", "sim.csv", "--config"], b"population = 20\n" + NOT_UTF8 + b"\n"),
+    ],
+    ids=[
+        "trace-not-utf8", "trace-overlong-field", "trace-not-utf8-ahead-of-bad-case",
+        "replay-not-utf8", "replay-overlong-field", "risk-not-utf8", "risk-overlong-field",
+        "simulate-config-not-utf8",
+    ],
+)
+def test_unreadable_input_file_is_one_error_line(tmp_path, capsys, monkeypatch, argv, content):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_unreadable_files_raise_the_package_error_from_the_public_readers(tmp_path):
+    graph, log = tmp_path / "graph.csv", tmp_path / "events.csv"
+    graph.write_bytes(_graph_bytes(NOT_UTF8))
+    log.write_bytes(b"0,scan," + OVERLONG_FIELD + b",ok,\n")
+    with pytest.raises(ValidationError, match="not utf-8 text"):
+        read_contact_graph(graph)
+    with pytest.raises(ValidationError, match="field larger than field limit"):
+        read_event_log(log)
 
 
 # -------------------------------------------------------------------------

@@ -623,6 +623,32 @@ def test_digest_reflects_state_changes():
     assert other.state_digest() == reg.state_digest()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("quarantine_days", -2),
+        ("quarantine_days", 2.5),
+        ("contact_window_days", -1),
+        ("contact_window_days", 1.5),
+        ("bluetooth_range_m", 0.0),
+        ("bluetooth_range_m", -1.0),
+        ("bluetooth_range_m", float("inf")),
+        ("bluetooth_range_m", float("nan")),
+        ("min_contact_duration_s", -1.0),
+        ("min_contact_duration_s", float("inf")),
+        ("min_contact_duration_s", float("nan")),
+        ("encounter_duration_s", -5.0),
+        ("encounter_duration_s", float("inf")),
+        ("encounter_duration_s", float("nan")),
+    ],
+)
+def test_policy_validation_names_the_field(field, value):
+    # A policy the registry cannot keep is refused up front; a -5 s scan
+    # duration, say, would book a contact its own graph could not read back.
+    with pytest.raises(ValidationError, match=f"invalid value for policy field '{field}'"):
+        RegistryPolicy(**{field: value})
+
+
 def test_min_duration_policy_filters_trace():
     policy = RegistryPolicy(min_contact_duration_s=60.0)
     reg = Registry([CRED], seed=1, policy=policy)
@@ -853,6 +879,70 @@ weight_sets = st.sampled_from(
 )
 
 
+def reference_category(reg: Registry, device: DeviceId, day: int) -> int:
+    """A neighbour's scan category by a walk over the public views alone.
+
+    A: infected; B: met an infected device in [day - window, day]; C: met a
+    B device in that window; D: anything else.  Mirrors the registry's
+    exposure rule one record at a time.
+    """
+    first_day = day - reg.policy.contact_window_days
+
+    def infected(d):
+        return reg.devices[d].status.stage is Stage.INFECTED
+
+    def window_peers(d):
+        return [r.peer for r in reg.contact_list(d).records if first_day <= r.day <= day]
+
+    def met_infected(d):
+        return any(infected(peer) for peer in window_peers(d))
+
+    if infected(device):
+        return 0
+    if met_infected(device):
+        return 1
+    if any(peer != device and met_infected(peer) for peer in window_peers(device)):
+        return 2
+    return 3
+
+
+_NEXT_STAGE = {Stage.SUSCEPTIBLE: Stage.INFECTED, Stage.INFECTED: Stage.RECOVERED}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(0, 3),
+    stages=st.lists(st.sampled_from(Stage), min_size=6, max_size=6),
+    # (day, a, b): a meets b; a == b advances a's stage instead
+    events=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5), st.integers(0, 5)), max_size=30),
+)
+def test_categories_match_the_reference_on_random_graphs(window, stages, events):
+    reg = Registry([CRED], policy=RegistryPolicy(contact_window_days=window))
+    devices = [
+        reg.register_user(reg.issue_otc(CRED).code, f"oracle-{i}", stage).device
+        for i, stage in enumerate(stages)
+    ]
+
+    def check():
+        day = reg.clock.current_day
+        for handle, device in enumerate(devices):
+            assert reg._categorize(handle, day) == reference_category(reg, device, day)
+
+    for day, a, b in sorted(events, key=lambda event: event[0]):
+        reg.advance_clock(SimClock(day))
+        if a != b:
+            reg.record_encounter(devices[a], devices[b], 1.0)
+        else:
+            stage = reg.devices[devices[a]].status.stage
+            if stage in _NEXT_STAGE:
+                reg.update_status(reg.issue_otc(CRED).code, devices[a], _NEXT_STAGE[stage])
+        check()
+    last_day = reg.clock.current_day
+    for day in range(last_day + 1, last_day + window + 2):  # contacts age out of the window
+        reg.advance_clock(SimClock(day))
+        check()
+
+
 class RegistryMachine(RuleBasedStateMachine):
     """Valid and invalid requests in any order; replay must always agree."""
 
@@ -893,6 +983,14 @@ class RegistryMachine(RuleBasedStateMachine):
         code = data.draw(st.sampled_from(self.codes))
         self.attempt(self.registry.update_status, code, self.device(person), stage)
 
+    @rule(person=st.integers(0, 4), stage=st.sampled_from(Stage))
+    def report(self, person, stage):
+        # a fresh code, so stage changes happen often enough to give
+        # neighbours every exposure category
+        code = self.registry.issue_otc(CRED).code
+        self.codes.append(code)
+        self.attempt(self.registry.update_status, code, self.device(person), stage)
+
     @rule(
         left=st.integers(0, 4), right=st.integers(0, 4), distance=distances,
         duration=st.one_of(st.none(), st.sampled_from([0.0, 30.0, 90.0, -5.0])),
@@ -924,6 +1022,14 @@ class RegistryMachine(RuleBasedStateMachine):
         replayed = Registry.replay(reg.events, [CRED], policy=reg.policy)
         assert replayed.state_digest() == reg.state_digest()
         assert replayed.events == reg.events
+
+    @invariant()
+    def categories_match_the_reference(self):
+        reg = self.registry
+        day = reg.clock.current_day
+        for device in reg.devices:
+            handle = reg._handle[device.digest]
+            assert reg._categorize(handle, day) == reference_category(reg, device, day)
 
     @invariant()
     def contacts_are_mutual(self):

@@ -54,6 +54,15 @@ def test_config_validation_names_the_field():
             SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["bluetooth_range", "encounter_duration_s", "arena_side"])
+def test_config_rejects_an_infinite_range_duration_or_arena(field):
+    # The registry cannot book an infinite range or duration, and no position
+    # can be drawn in an infinite arena; the config refuses all three before
+    # any arm runs.
+    with pytest.raises(ValidationError, match=field):
+        SimConfig(**{field: math.inf})
+
+
 def test_initial_infected_bounded_by_population():
     with pytest.raises(ValidationError):
         SimConfig(population=5, initial_infected=6)
