@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import csv
 
@@ -167,123 +167,39 @@ EVENT_LOG_HEADER = ("day", "operation", "actor_digest", "outcome", "details")
 
 
 # =========================================================================
-# Contact storage
+# Read-only views
 # =========================================================================
 
-class _ContactStore:
-    """Mutable contact graph on device handles.
-
-    owner handle -> day -> peer handle -> [min_dist, total_dur].  The
-    registry assigns each device a dense int handle at registration and
-    shares its handle -> DeviceId list with the store; handles turn back
-    into DeviceIds only at the boundaries (contact lists and digest rows).
-    """
-
-    def __init__(self, ids: list[DeviceId]) -> None:
-        self._ids = ids
-        self._entries: list[dict[int, dict[int, list[float]]]] = []
-
-    def add_owner(self) -> None:
-        self._entries.append({})
-
-    def add_pair(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
-        """Book one encounter on both endpoints: min distance, summed duration.
-
-        The two endpoints share one slot, so a repeat updates both records.
-        """
-        left_peers = self._entries[left].setdefault(day, {})
-        slot = left_peers.get(right)
-        if slot is None:
-            slot = [distance, duration]
-            left_peers[right] = slot
-            self._entries[right].setdefault(day, {})[left] = slot
-        else:
-            if distance < slot[0]:
-                slot[0] = distance
-            slot[1] += duration
-
-    def on_day(self, owner: int, day: int) -> dict[int, list[float]]:
-        return self._entries[owner].get(day, {})
-
-    def by_day(self, owner: int) -> dict[int, dict[int, list[float]]]:
-        return self._entries[owner]
-
-    def contact_list(
-        self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
-    ) -> ContactList:
-        """The owner's records as a value type; only those in `by_day` when given.
-
-        Records are built in ContactList order, (day, peer digest), so the
-        list's normalising sort is a single linear pass.
-        """
-        ids = self._ids
-        if by_day is None:
-            by_day = self._entries[owner]
-        records = tuple(
-            ContactRecord(peer=ids[peer], day=day, distance=distance, duration=duration)
-            for day in sorted(by_day)
-            for peer, (distance, duration) in sorted(
-                by_day[day].items(), key=lambda item: ids[item[0]].digest
-            )
-        )
-        return ContactList(ids[owner], records)
-
-    def rows(self) -> list[tuple[str, int, str, float, float]]:
-        hexes = [device.digest.hex() for device in self._ids]
-        out = []
-        for owner, days in enumerate(self._entries):
-            owner_hex = hexes[owner]
-            for day, peers in days.items():
-                for peer, (distance, duration) in peers.items():
-                    out.append((owner_hex, day, hexes[peer], distance, duration))
-        out.sort()
-        return out
+_Row = TypeVar("_Row")
 
 
-class _RegistryView:
-    """Base of the read-only mappings over a registry's devices.
+class _RegistryView(Mapping[DeviceId, _Row]):
+    """Read-only mapping from each registered DeviceId to one of its rows.
 
     Keys are the registered DeviceIds in registration order; anything else,
-    including a value that is not a DeviceId, is absent.
+    including a value that is not a DeviceId, is absent.  `row` turns a
+    device handle into the value, read live on every lookup.
     """
 
-    def __init__(self, registry: "Registry") -> None:
-        self._registry = registry
+    def __init__(self, registry: "Registry", row: Callable[[int], _Row]) -> None:
+        self._handle = registry._handle
+        self._ids = registry._ids
+        self._row = row
 
-    def _handle_of(self, device: object) -> int:
-        handle = None
-        if isinstance(device, DeviceId):
-            handle = self._registry._handle.get(device.digest)
+    def __getitem__(self, device: DeviceId) -> _Row:
+        handle = self._handle.get(device.digest) if isinstance(device, DeviceId) else None
         if handle is None:
             raise KeyError(device)
-        return handle
+        return self._row(handle)
 
     def __contains__(self, device: object) -> bool:
-        return isinstance(device, DeviceId) and device.digest in self._registry._handle
+        return isinstance(device, DeviceId) and device.digest in self._handle
 
     def __iter__(self) -> Iterator[DeviceId]:
-        return iter(self._registry._ids)
+        return iter(self._ids)
 
     def __len__(self) -> int:
-        return len(self._registry._ids)
-
-
-class DeviceView(_RegistryView, Mapping[DeviceId, DeviceRecord]):
-    """Read-only mapping over the registry's device records."""
-
-    def __getitem__(self, device: DeviceId) -> DeviceRecord:
-        return self._registry._records[self._handle_of(device)]
-
-
-class ContactGraphView(_RegistryView, Mapping[DeviceId, ContactList]):
-    """Read-only mapping over the registry's contact graph.
-
-    Every registered device is present (possibly with an empty list), so
-    tracing can distinguish "no contacts" from "unknown device".
-    """
-
-    def __getitem__(self, device: DeviceId) -> ContactList:
-        return self._registry._store.contact_list(self._handle_of(device))
+        return len(self._ids)
 
 
 # =========================================================================
@@ -318,7 +234,8 @@ class Registry:
         # by the row writers (_register, _set_status) for the exposure scans.
         self._infected: list[bool] = []
         self._last_checked: list[Stage] = []
-        self._store = _ContactStore(self._ids)
+        # The contact graph: day -> peer handle -> [min_dist, total_dur].
+        self._contacts: list[dict[int, dict[int, list[float]]]] = []
         self._log_events = log_events
 
     # ------------------------------------------------------------------
@@ -339,6 +256,16 @@ class Registry:
         self._log(operation, actor, type(error).__name__, **details)
         return error
 
+    def _resolve(self, operation: str, device: DeviceId, noun: str = "device") -> int:
+        """The device's handle; an unregistered device is logged and rejected."""
+        handle = self._handle.get(device.digest)
+        if handle is None:
+            raise self._fail(
+                operation, device.hex,
+                UnknownDeviceError(f"{noun} {device.hex} is not registered"),
+            )
+        return handle
+
     def _emit(
         self,
         recipient: DeviceId,
@@ -355,18 +282,40 @@ class Registry:
         return note
 
     @property
-    def devices(self) -> DeviceView:
-        return DeviceView(self)
+    def devices(self) -> Mapping[DeviceId, DeviceRecord]:
+        return _RegistryView(self, self._records.__getitem__)
 
     @property
-    def contact_graph(self) -> ContactGraphView:
-        return ContactGraphView(self)
+    def contact_graph(self) -> Mapping[DeviceId, ContactList]:
+        """Every registered device is present, possibly with an empty list,
+        so tracing can tell "no contacts" from "unknown device"."""
+        return _RegistryView(self, self._contact_list)
 
     def contact_list(self, device: DeviceId) -> ContactList:
         handle = self._handle.get(device.digest)
         if handle is None:
             raise UnknownDeviceError(f"device {device.hex} is not registered")
-        return self._store.contact_list(handle)
+        return self._contact_list(handle)
+
+    def _contact_list(
+        self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
+    ) -> ContactList:
+        """The owner's records as a value type; only those in `by_day` when given.
+
+        Records are built in ContactList order, (day, peer digest), so the
+        list's normalising sort is a single linear pass.
+        """
+        ids = self._ids
+        if by_day is None:
+            by_day = self._contacts[owner]
+        records = tuple(
+            ContactRecord(peer=ids[peer], day=day, distance=distance, duration=duration)
+            for day in sorted(by_day)
+            for peer, (distance, duration) in sorted(
+                by_day[day].items(), key=lambda item: ids[item[0]].digest
+            )
+        )
+        return ContactList(ids[owner], records)
 
     # ------------------------------------------------------------------
     # one-time codes
@@ -408,8 +357,7 @@ class Registry:
         otc = self._checked_otc(otc_code, "user_registered", device.hex)
         if device.digest in self._handle:
             raise self._fail(
-                "user_registered",
-                device.hex,
+                "user_registered", device.hex,
                 AlreadyRegisteredError(f"device {device.hex} is already registered"),
             )
         otc.consumed = True
@@ -421,7 +369,7 @@ class Registry:
         self._records.append(record)
         self._infected.append(stage is Stage.INFECTED)
         self._last_checked.append(stage)
-        self._store.add_owner()
+        self._contacts.append({})
         self._log("user_registered", device.hex, "ok", code=otc_code, status=stage.value)
         return record
 
@@ -444,11 +392,7 @@ class Registry:
         recipient, kind, and day are suppressed).
         """
         actor = device.hex
-        handle = self._handle.get(device.digest)
-        if handle is None:
-            raise self._fail(
-                "status_updated", actor, UnknownDeviceError(f"device {actor} is not registered")
-            )
+        handle = self._resolve("status_updated", device)
         otc = self._checked_otc(otc_code, "status_updated", actor)
         try:
             status = self._records[handle].status.with_stage(new_stage)
@@ -457,22 +401,15 @@ class Registry:
         otc.consumed = True
         day = self.clock.current_day
         self._set_status(handle, status)
-        emitted: list[Notification] = []
+        notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
-            note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
-            if note is not None:
-                emitted.append(note)
+            notes.append(self._emit(device, NotificationKind.STATUS_POSITIVE, day))
             for contact in self._traced_set(handle):
                 self._quarantine(self._handle[contact.digest], day)
-                note = self._emit(contact, NotificationKind.CONTACT_AT_RISK, day)
-                if note is not None:
-                    emitted.append(note)
-        self._log(
-            "status_updated", actor, "ok",
-            code=otc_code, status=new_stage.value,
-        )
-        return emitted
+                notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
+        self._log("status_updated", actor, "ok", code=otc_code, status=new_stage.value)
+        return [note for note in notes if note is not None]
 
     def _traced_set(self, index: int) -> tuple[DeviceId, ...]:
         # The trace reads only the index case's records from the lookback
@@ -480,16 +417,18 @@ class Registry:
         # just that two-hop subgraph.  Brief contacts are dropped from the
         # index case's own records only.
         today = self.clock.current_day
-        store = self._store
+        contacts = self._contacts
         device = self._ids[index]
         lookback_day = today - TRACE_LOOKBACK_DAYS
-        met = store.on_day(index, lookback_day)
+        met = contacts[index].get(lookback_day, {})
         min_duration = self.policy.min_contact_duration_s
         if min_duration > 0:
             met = {peer: slot for peer, slot in met.items() if slot[1] >= min_duration}
-        subgraph = {device: store.contact_list(index, {lookback_day: met})}
+        subgraph = {device: self._contact_list(index, {lookback_day: met})}
         for peer in met:
-            subgraph[self._ids[peer]] = store.contact_list(peer, {today: store.on_day(peer, today)})
+            subgraph[self._ids[peer]] = self._contact_list(
+                peer, {today: contacts[peer].get(today, {})}
+            )
         return trace_co_contacts(device, subgraph, self.clock)
 
     def _quarantine(self, handle: int, day: int) -> None:
@@ -545,12 +484,28 @@ class Registry:
                 "encounter_recorded", left.hex,
                 ValidationError("duration must be non-negative and finite"),
             )
-        self._store.add_pair(left_handle, right_handle, self.clock.current_day, distance, dur)
+        self._book(left_handle, right_handle, self.clock.current_day, distance, dur)
         if self._log_events:
             self._log(
                 "encounter_recorded", left.hex, "ok",
                 peer=right.hex, distance=distance, duration=dur,
             )
+
+    def _book(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
+        """Book one encounter on both endpoints: min distance, summed duration.
+
+        The two endpoints share one slot, so a repeat updates both records.
+        """
+        left_peers = self._contacts[left].setdefault(day, {})
+        slot = left_peers.get(right)
+        if slot is None:
+            slot = [distance, duration]
+            left_peers[right] = slot
+            self._contacts[right].setdefault(day, {})[left] = slot
+        else:
+            if distance < slot[0]:
+                slot[0] = distance
+            slot[1] += duration
 
     def scan_handshake(
         self,
@@ -566,11 +521,7 @@ class Registry:
         only the classified area risk, never any neighbor's status.
         """
         actor = scanner.hex
-        own = self._handle.get(scanner.digest)
-        if own is None:
-            raise self._fail(
-                "scan", actor, UnknownDeviceError(f"scanner {actor} is not registered")
-            )
+        own = self._resolve("scan", scanner, "scanner")
         if len(weights) < len(Category):
             raise self._fail(
                 "scan", actor,
@@ -578,6 +529,7 @@ class Registry:
                     f"a scan needs {len(Category)} category weights, got {len(weights)}"
                 ),
             )
+        registered = []
         for peer, distance in neighbors:
             if not 0 < distance <= self.policy.bluetooth_range_m:
                 raise self._fail(
@@ -586,30 +538,24 @@ class Registry:
                         f"neighbor at {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
                     ),
                 )
-        day = self.clock.current_day
-        registered = []
-        for peer, distance in neighbors:
             handle = self._handle.get(peer.digest)
             if handle is not None and handle != own:
                 registered.append((handle, float(distance)))
+        day = self.clock.current_day
         for handle, distance in registered:
-            self._store.add_pair(own, handle, day, distance, self.policy.encounter_duration_s)
+            self._book(own, handle, day, distance, self.policy.encounter_duration_s)
+        risk_class = note = None
         if registered:
             categories = [self._categorize(handle, day) for handle, _ in registered]
             distances = [distance for _, distance in registered]
             risk_class = classify(score_from_arrays(categories, distances, weights))
             note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
-            result = ScanResult(
-                risk_class=risk_class, notification=note, neighbors_seen=len(registered)
-            )
-        else:
-            result = ScanResult(risk_class=None, notification=None, neighbors_seen=0)
         self._log(
             "scan", actor, "ok",
             neighbors=[[p.hex, d] for p, d in neighbors],
             weights=list(weights.weights),
         )
-        return result
+        return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
 
     def _categorize(self, handle: int, day: int) -> int:
         """Category of one observed neighbor, judged on current knowledge."""
@@ -617,16 +563,16 @@ class Registry:
             return 0  # infected
         if self._met_infected(handle, day):
             return 1  # contact of an infected device within the window
-        days = self._store.by_day(handle)
+        days = self._contacts[handle]
         for d in range(day - self.policy.contact_window_days, day + 1):
             for peer in days.get(d, ()):
-                if peer != handle and self._met_infected(peer, day):
+                if self._met_infected(peer, day):
                     return 2  # contact of a category-B device within the window
         return 3
 
     def _met_infected(self, handle: int, day: int) -> bool:
         """Whether the device met an infected device in the window ending on `day`."""
-        days = self._store.by_day(handle)
+        days = self._contacts[handle]
         is_infected = self._infected.__getitem__
         for d in range(day - self.policy.contact_window_days, day + 1):
             peers = days.get(d)
@@ -646,12 +592,7 @@ class Registry:
         contact window and emits contact-at-risk if any windowed contact is
         currently infected.
         """
-        actor = device.hex
-        handle = self._handle.get(device.digest)
-        if handle is None:
-            raise self._fail(
-                "status_check", actor, UnknownDeviceError(f"device {actor} is not registered")
-            )
+        handle = self._resolve("status_check", device)
         day = self.clock.current_day
         stage = self._records[handle].status.stage
         previous = self._last_checked[handle]
@@ -662,7 +603,7 @@ class Registry:
             note = self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
         else:
             note = None
-        self._log("status_check", actor, "ok")
+        self._log("status_check", device.hex, "ok")
         return note
 
     # ------------------------------------------------------------------
@@ -682,7 +623,15 @@ class Registry:
         for code in sorted(self.otcs):
             otc = self.otcs[code]
             lines.append(f"otc|{code}|{otc.issued_day}|{int(otc.consumed)}")
-        for owner_hex, day, peer_hex, distance, duration in self._store.rows():
+        # Sort the row tuples, not the formatted lines: as text, day 10 sorts before day 9.
+        hexes = [device.hex for device in self._ids]
+        contacts = sorted(
+            (hexes[owner], day, hexes[peer], distance, duration)
+            for owner, days in enumerate(self._contacts)
+            for day, peers in days.items()
+            for peer, (distance, duration) in peers.items()
+        )
+        for owner_hex, day, peer_hex, distance, duration in contacts:
             lines.append(f"contact|{owner_hex}|{day}|{peer_hex}|{distance!r}|{duration!r}")
         for note in sorted(
             self.notifications, key=lambda n: (n.day, n.kind.value, n.recipient.hex)
@@ -798,16 +747,8 @@ def read_event_log(path: str | Path) -> list[Event]:
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and tuple(row) == EVENT_LOG_HEADER):
                 continue
-            try:
-                events.append(
-                    Event(
-                        day=int(row[0]),
-                        operation=row[1],
-                        actor=row[2],
-                        outcome=row[3],
-                        details=json.loads(row[4]) if row[4] else {},
-                    )
-                )
-            except (IndexError, ValueError) as exc:
+            try:  # the columns of EVENT_LOG_HEADER, in order
+                events.append(Event(int(row[0]), *row[1:4], json.loads(row[4]) if row[4] else {}))
+            except (IndexError, ValueError, RecursionError) as exc:  # too deeply nested JSON
                 raise ValidationError(f"line {lineno}: malformed event row ({exc})") from exc
     return events

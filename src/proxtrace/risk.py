@@ -22,6 +22,7 @@ placements.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ Placement = Literal["uniform", "equal"]
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Per-category weights, strictly positive and strictly descending."""
+    """Per-category weights, finite, strictly positive and strictly descending."""
 
     weights: tuple[float, ...]
 
@@ -59,8 +60,8 @@ class WeightConfig:
         if len(self.weights) < 1:
             raise ValidationError("at least one category weight is required")
         for w in self.weights:
-            if not w > 0:
-                raise ValidationError("category weights must be strictly positive")
+            if not 0 < w < math.inf:
+                raise ValidationError("category weights must be finite and strictly positive")
         for hi, lo in zip(self.weights, self.weights[1:]):
             if not hi > lo:
                 raise ValidationError("category weights must be strictly descending")
@@ -98,6 +99,18 @@ class RiskClass(Enum):
         return self.value
 
 
+@contextlib.contextmanager
+def _in_float_range() -> Iterator[None]:
+    """Turn an overflow or a 0/0 in the score formula, which every caller of
+    _score runs under, into ValidationError, not a NaN or a clipped score."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(f"risk score leaves the float range ({exc})") from exc
+
+
+@_in_float_range()
 def score_from_arrays(
     categories: np.ndarray, distances: np.ndarray, weights: WeightConfig
 ) -> float:
@@ -245,6 +258,7 @@ class SurfaceCell:
     mean_score: float
 
 
+@_in_float_range()
 def _mean_scores(
     weights: WeightConfig,
     radius: float,

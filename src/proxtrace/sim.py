@@ -70,7 +70,9 @@ class SimConfig:
         checks = [
             ("population", self.population >= 1),
             ("initial_infected", 0 <= self.initial_infected <= self.population),
-            ("arena_side", self.arena_side is None or 0 < self.arena_side < math.inf),
+            # the kd-tree sums squared coordinate differences: they must stay finite
+            ("arena_side", self.arena_side is None
+             or 0 < self.arena_side and 2 * self.arena_side * self.arena_side < math.inf),
             ("bluetooth_range", 0 < self.bluetooth_range < math.inf),
             ("infection_radius", 0 < self.infection_radius <= self.bluetooth_range),
             ("infection_probability", 0.0 <= self.infection_probability <= 1.0),
@@ -260,10 +262,11 @@ def step(world: WorldState) -> tuple[WorldState, DayStats]:
 
     # Detection: newly symptomatic agents report through the protocol, whose
     # cascade quarantines the reporter and everyone traced.  infection_day is
-    # set once per agent, so each agent comes due on exactly one day.
+    # set once per agent, so each agent comes due on exactly one day.  The lag
+    # stays out of the int32 arithmetic, since it may exceed that range.
     if registry is not None:
         lag = cfg.symptom_onset_delay + cfg.quarantine_start_delay
-        due = np.flatnonzero((world.infection_day >= 0) & (world.infection_day + lag == day))
+        due = np.flatnonzero((world.infection_day >= 0) & (world.infection_day == day - lag))
         for idx in due.tolist():
             otc = registry.issue_otc(_STAFF_CREDENTIAL)
             registry.update_status(otc.code, world.devices[idx], Stage.INFECTED)

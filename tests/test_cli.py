@@ -10,10 +10,12 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxtrace import core
@@ -27,7 +29,7 @@ from proxtrace.core import (
     write_contact_graph,
 )
 from proxtrace.errors import ProxTraceError, ValidationError
-from proxtrace.protocol import Registry, read_event_log, write_event_log
+from proxtrace.protocol import EVENT_LOG_HEADER, Registry, read_event_log, write_event_log
 from proxtrace.risk import DEFAULT_WEIGHTS, assess_area
 from proxtrace.sim import SimConfig
 from proxtrace.tracing import trace_co_contacts
@@ -170,6 +172,48 @@ def test_bad_placement_arguments_fail_before_scoring(tmp_path, capsys, args, mes
         assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+WEIGHTS_MESSAGE = "category weights must be finite and strictly positive"
+FLOAT_RANGE_MESSAGE = "risk score leaves the float range"
+
+
+@pytest.mark.parametrize(
+    "args, observations, message",
+    [
+        (["risk", "--weights", "inf,1"], "A,1.0\n", WEIGHTS_MESSAGE),
+        (["curve", "--n", "2", "--k", "2", "--weights", "inf,1"], None, WEIGHTS_MESSAGE),
+        (["surface", "--n-max", "2", "--weights", "inf,1"], None, WEIGHTS_MESSAGE),
+        (["risk", "--radius", "1e308"], "A,1e308\nB,1e308\n", FLOAT_RANGE_MESSAGE),
+        (["curve", "--n", "3", "--radius", "1e308"], None, FLOAT_RANGE_MESSAGE),
+        (["surface", "--n-max", "2", "--weights", "1e308,1", "--radius", "1e300"], None,
+         FLOAT_RANGE_MESSAGE),
+    ],
+    ids=["risk-inf-weight", "curve-inf-weight", "surface-inf-weight",
+         "risk-overflow", "curve-overflow", "surface-overflow"],
+)
+def test_a_score_the_floats_cannot_hold_is_one_error_line(
+    tmp_path, capsys, args, observations, message
+):
+    # these printed numpy warnings, then a misleading "risk score nan" error,
+    # and left a header-only output file behind
+    argv = list(args)
+    if observations is None:
+        out = tmp_path / "out.csv"
+        argv += ["--out", str(out)]
+    else:
+        out = tmp_path / "obs.csv"
+        out.write_text(observations)
+        argv += ["--observations", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert captured.out == ""
+    inputs = [] if observations is None else ["obs.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs  # no output file
 
 
 # -------------------------------------------------------------------------
@@ -647,6 +691,169 @@ def test_unreadable_files_raise_the_package_error_from_the_public_readers(tmp_pa
         read_contact_graph(graph)
     with pytest.raises(ValidationError, match="field larger than field limit"):
         read_event_log(log)
+
+
+# -------------------------------------------------------------------------
+# hostile input: every subcommand, edge values, garbled files
+# -------------------------------------------------------------------------
+
+HUGE = "9" * 30
+# Edge values for the options that are not sizes.
+EDGE_NUMBERS = [
+    "0", "-1", "-0.0", "1", "2", "0.3", "nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+    "5e-324", HUGE, "-" + HUGE, "x", "",
+]
+# Sizes (--n, --n-max, --repeats, --population, --days, --replicates) stay
+# tiny: a huge size is a valid request for a huge amount of work.
+SIZES = ["0", "-1", "1", "2", "3", "nan", "inf", "1.5", "x", ""]
+HOSTILE_WEIGHTS = [
+    "inf,1", "1,inf", "nan,1", "0.7,0.2,0.09,0.01", "0.5,0.25", "1", "1,0", "-1,-2", "",
+    "a,b", "1e400,1", "1e308,1e-308", "1e-320,1e-321", "0.5,0.4,0.3,0.2,0.1",
+]
+A, B, C = (device(t).hex for t in "abc")
+GRAPH_LINES = [
+    ",".join(core.GRAPH_CSV_HEADER), f"{A},{B},2,1.5,60.0", f"{B},{A},2,1.5,60.0",
+    f"{B},{C},4,1.0,30.0", f"{A},{A},2,1.0,1.0", f"{A},{B},2,nan,1", f"{A},{B},2,1,inf",
+    f"{A},{B},-1,1,1", f"{A},{B},{HUGE},1e308,1e308", f"{A},zz,2,1,1", f"{A},{B},2", "",
+]
+OBSERVATION_LINES = [
+    "category,distance", "A,1.0", "b,2", "0,3.0", "9,1", "-1,1", "A,nan", "A,inf",
+    "A,1e308", "A,5e-324", "Z,1", "A", "A,1,2", f"{HUGE},1", "",
+]
+
+
+def _event(day, operation, actor, details, outcome="ok"):
+    return f"{day},{operation},{actor},{outcome},{json.dumps(json.dumps(details))}"
+
+
+# details nested deeper than the interpreter's recursion limit
+DEEP_EVENT = '0,otc_issued,staff,ok,"' + "[" * 3000 + '"'
+LOG_LINES = [
+    ",".join(EVENT_LOG_HEADER),
+    _event(0, "otc_issued", "staff", {"code": "c1"}),
+    _event(0, "otc_issued", "staff", {"code": "c2"}),
+    _event(0, "user_registered", A, {"code": "c1", "status": "susceptible"}),
+    _event(0, "user_registered", B, {"code": "c2", "status": "infected"}),
+    _event(1, "encounter_recorded", A, {"peer": B, "distance": 1.0, "duration": 1e308}),
+    _event(1, "encounter_recorded", A, {"peer": B, "distance": "nan", "duration": 1}),
+    _event(2, "scan", A, {"neighbors": [[B, 1.0], [C, 2.0]], "weights": [0.7, 0.2, 0.09, 0.01]}),
+    _event(2, "scan", A, {"neighbors": [[B, 1.0, 3]], "weights": ["inf", 1, 0.5, 0.1]}),
+    _event(2, "scan", A, {"neighbors": 5, "weights": [1e308, 1, 0.5, 0.1]}),
+    _event(3, "status_updated", A, {"code": "c2", "status": "infected"}),
+    _event(3, "status_check", A, {}),
+    _event(-1, "status_check", A, {}),
+    _event(HUGE, "status_check", B, {}),
+    _event(0, "otc_issued", "staff", None),
+    _event(0, "otc_issued", "staff", [1]),
+    _event(0, "bogus", A, {}),
+    _event(0, "scan", A, {}, outcome="ValidationError"),
+    DEEP_EVENT, "not,a,row", "",
+]
+CONFIG_LINES = [
+    f"{field.name} = {value}"
+    for field in dataclasses.fields(SimConfig)
+    if field.name not in ("population", "max_days")
+    for value in ("0", "-1", "1", "nan", "inf", "1e308", "5e-324", HUGE, "true", "x")
+] + [f"{name} = {value}" for name in ("population", "max_days") for value in SIZES] + [
+    "# comment", "bogus = 1", "no equals sign", "=", "",
+]
+# Bytes a garbled file may gain; no digits, so a garble never grows a size.
+GARBLE = st.lists(st.sampled_from(list(b',"\n\r\x00\xff=#-.e x')), max_size=4).map(bytes)
+
+
+def _garble(content, position, extra, truncate):
+    position = min(position, len(content))
+    return content[:position] if truncate else content[:position] + extra + content[position:]
+
+
+def _file(lines):
+    """A few of `lines`, sometimes cut short or with a few bytes inserted."""
+    return st.tuples(
+        st.lists(st.sampled_from(lines), max_size=6), st.integers(0, 400), GARBLE, st.booleans()
+    ).map(lambda t: _garble("\n".join(t[0]).encode() + b"\n", *t[1:]))
+
+
+def _path(name):
+    """Where a path option points: its own file mostly, else a directory or nothing."""
+    return st.sampled_from([f"{{{name}}}"] * 6 + ["{dir}", "{missing}/x.csv"])
+
+
+def _case(command, required, optional, **files):
+    """(argv, input file bytes by name) for one subcommand."""
+    options = st.fixed_dictionaries(required, optional=optional)
+    argv = options.map(lambda chosen: [command, *itertools.chain(*chosen.items())])
+    return st.tuples(argv, st.fixed_dictionaries({k: _file(v) for k, v in files.items()}))
+
+
+numbers = st.sampled_from(EDGE_NUMBERS)
+sizes = st.sampled_from(["1", "2", "3"]) | st.sampled_from(SIZES)
+jobs = st.sampled_from(["-1", "0", "1", "2"])
+scoring = {"--weights": st.sampled_from(HOSTILE_WEIGHTS), "--radius": numbers}
+placing = {
+    **scoring, "--placement": st.sampled_from(["uniform", "equal", "bogus"]),
+    "--seed": numbers, "--jobs": jobs,
+}
+HOSTILE_CASES = st.one_of(
+    _case("risk", {"--observations": _path("observations")}, scoring,
+          observations=OBSERVATION_LINES),
+    _case("curve", {"--n": sizes, "--repeats": sizes, "--out": _path("out")},
+          {**placing, "--k": st.sampled_from(["0", "-1", "1", "2", "4", "5", HUGE, "nan"])}),
+    _case("surface", {"--n-max": sizes, "--repeats": sizes, "--out": _path("out")}, placing),
+    _case("trace",
+          {"--graph": _path("graph"), "--case": st.sampled_from([A, B.upper(), "zz", ""]),
+           "--day": numbers},
+          {"--out": _path("out")}, graph=GRAPH_LINES),
+    _case("simulate", {"--population": sizes, "--days": sizes, "--out": _path("out")},
+          {"--config": _path("config"), "--seed": numbers, "--replicates": sizes,
+           "--arm": st.sampled_from(["baseline", "app", "both", "bogus"]), "--jobs": jobs},
+          config=CONFIG_LINES),
+    _case("replay", {"--log": _path("log")},
+          {"--credential": st.sampled_from(["replay", ""]), "--out": _path("out")},
+          log=LOG_LINES),
+)
+SMALL_SIM = [
+    "simulate", "--population", "3", "--days", "3", "--out", "{out}", "--config", "{config}",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(HOSTILE_CASES)
+@example((["curve", "--n", "2", "--k", "2", "--weights", "inf,1", "--out", "{out}"], {})).via(
+    "an infinite weight"
+)
+@example((["curve", "--n", "3", "--radius", "1e308", "--out", "{out}"], {})).via(
+    "a radius whose distance sums overflow"
+)
+@example((["replay", "--log", "{log}"], {"log": DEEP_EVENT.encode()})).via(
+    "event details nested past the recursion limit"
+)
+@example((SMALL_SIM, {"config": f"symptom_onset_delay = {HUGE}\n".encode()})).via(
+    "a detection lag past the engine's int32 days"
+)
+@example((SMALL_SIM, {"config": b"arena_side = 1e300\ninfection_probability = 1\n"})).via(
+    "an arena whose squared side overflows"
+)
+def test_hostile_input_exits_cleanly(case):
+    # main returns 0, 1 or 2 and raises nothing, warnings included; a failure
+    # (exit 1) is one error line and leaves no file behind
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, content in files.items():
+            (root / name).write_bytes(content)
+        paths = {name: str(root / name) for name in (*files, "out")}
+        argv = [arg.format(**paths, dir=root, missing=root / "missing") for arg in argv]
+        before = sorted(root.rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert sorted(root.rglob("*")) == before
 
 
 # -------------------------------------------------------------------------

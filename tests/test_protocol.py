@@ -6,6 +6,7 @@ operation, successful or failed.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import random
 
@@ -23,6 +24,7 @@ from proxtrace.core import (
     SimClock,
     Stage,
     hash_identifier,
+    write_contact_graph,
 )
 from proxtrace.errors import (
     AlreadyRegisteredError,
@@ -138,20 +140,32 @@ def test_duplicate_device_leaves_code_usable():
 
 
 def test_devices_view_is_read_only_and_in_registration_order():
+    # devices and contact_graph are the same kind of view: check both alike
     reg = make_registry()
     tags = ["q", "a", "z", "m"]
     ids = [enroll(reg, tag) for tag in tags]
-    assert list(reg.devices) == ids  # registration order, not digest order
-    assert [record.device for record in reg.devices.values()] == ids
-    assert reg.devices == {device: reg.devices[device] for device in ids}
-    with pytest.raises(TypeError):
-        reg.devices[ids[0]] = reg.devices[ids[1]]
-    with pytest.raises(TypeError):
-        del reg.devices[ids[0]]
-    assert ids[0] in reg.contact_graph and list(reg.contact_graph) == ids
-    assert "x" not in reg.contact_graph and hash_identifier("user-x") not in reg.contact_graph
+    devices, graph = reg.devices, reg.contact_graph
+    assert [record.device for record in devices.values()] == ids
+    assert [contact_list.owner for contact_list in graph.values()] == ids
+    for view in (devices, graph):
+        assert list(view) == ids  # registration order, not digest order
+        assert len(view) == len(ids) and all(device in view for device in ids)
+        assert view == {device: view[device] for device in ids}
+        with pytest.raises(TypeError):
+            view[ids[0]] = view[ids[1]]
+        with pytest.raises(TypeError):
+            del view[ids[0]]
+        # anything else is absent: not an id at all, or an unregistered id
+        for other in ("x", hash_identifier("user-x")):
+            assert other not in view and view.get(other) is None
+            with pytest.raises(KeyError):
+                view[other]
+    # both views read live state, not a snapshot taken when they were made
+    reg.record_encounter(ids[0], ids[2], 2.0)
     reg.update_status(reg.issue_otc(CRED).code, ids[2], Stage.INFECTED)
-    assert reg.devices[ids[2]].status.stage is Stage.INFECTED  # the view reads live state
+    assert devices[ids[2]].status.stage is Stage.INFECTED
+    assert [record.peer for record in graph[ids[0]].records] == [ids[2]]
+    assert [record.peer for record in graph[ids[2]].records] == [ids[0]]
 
 
 # -------------------------------------------------------------------------
@@ -606,6 +620,14 @@ def test_malformed_event_log_line(tmp_path):
         read_event_log(path)
 
 
+def test_event_details_nested_too_deep_are_a_malformed_line(tmp_path):
+    # json.loads raised a bare RecursionError here
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(EVENT_LOG_HEADER) + '\n0,otc_issued,staff,ok,"' + "[" * 3000 + '"\n')
+    with pytest.raises(ValidationError, match="line 2: malformed event row"):
+        read_event_log(path)
+
+
 def test_digest_reflects_state_changes():
     reg = make_registry()
     empty = reg.state_digest()
@@ -621,6 +643,25 @@ def test_digest_reflects_state_changes():
     y = enroll(other, "b")
     other.record_encounter(x, y, 2.0)
     assert other.state_digest() == reg.state_digest()
+
+
+def test_digest_and_graph_order_days_numerically(tmp_path):
+    # Days 8-11 sort differently as numbers and as text ("10" < "8"), so
+    # these pins break if either output orders its rows on formatted text.
+    reg = make_registry(seed=3)
+    a, b, c, d = (enroll(reg, tag) for tag in "abcd")
+    for day in (8, 9, 10, 11):
+        reg.advance_clock(SimClock(day))
+        reg.record_encounter(a, b, 1.0 + day / 10, 30.0 * day)
+        reg.record_encounter(c, a, 2.5, 45.0)
+        if day % 2:
+            reg.record_encounter(b, d, 0.5 * day, 60.0)
+    path = tmp_path / "graph.csv"
+    write_contact_graph(reg.contact_graph, path)
+    assert reg.state_digest() == "e8f97f77964514340d580049acad227812e7863e3cfac7a43d753fc3871d5106"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3d7ff12131f81ea3901adffa5a8eb8e52adec40c9f2431b9ab223d421f3459dd"
+    )
 
 
 @pytest.mark.parametrize(

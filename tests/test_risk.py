@@ -8,6 +8,7 @@ under test is checked against an independent route, not against itself.
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ def test_weight_config_validation():
         WeightConfig((0.7, 0.0))  # not positive
     with pytest.raises(ValidationError):
         WeightConfig(())
+
+
+@pytest.mark.parametrize("weights", [(math.inf, 1.0), (math.inf,), (1e308, math.inf)])
+def test_weight_config_rejects_an_infinite_weight(weights):
+    # an infinite weight made every score inf/inf: NaN, or silently 0.0
+    with pytest.raises(ValidationError, match="finite and strictly positive"):
+        WeightConfig(weights)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda: assess_area([0, 1], [1e308, 1e308], radius=1e308),  # sum of distances
+        lambda: assess_area([1], [10.0], WeightConfig((1e308, 1e300))),  # weight x distance
+        lambda: score_from_arrays([0], [0.4], WeightConfig((5e-324,))),  # 0/0
+        lambda: risk_curve(2, 4, radius=1e308, repeats=3),
+        lambda: risk_surface(2, WeightConfig((1e308, 1.0)), radius=1e300, repeats=3),
+    ],
+    ids=["distance-sum", "weighted-distance", "zero-over-zero", "curve", "surface"],
+)
+def test_a_score_outside_the_float_range_is_rejected(score):
+    # without the check these gave NaN, or a finite score clipped from a 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="risk score leaves the float range"):
+            score()
 
 
 # -------------------------------------------------------------------------

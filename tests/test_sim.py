@@ -63,6 +63,21 @@ def test_config_rejects_an_infinite_range_duration_or_arena(field):
         SimConfig(**{field: math.inf})
 
 
+def test_config_rejects_an_arena_whose_squared_side_overflows():
+    # the kd-tree raised a bare ValueError on a side this large
+    with pytest.raises(ValidationError, match="arena_side"):
+        SimConfig(arena_side=1e155)
+    assert run(SimConfig(population=4, max_days=2, arena_side=9e153))
+
+
+def test_a_detection_lag_past_the_engine_s_int32_days_never_comes_due():
+    # infection_day + lag used to overflow the int32 day column
+    config = SimConfig(population=40, max_days=6, infection_probability=1.0, seed=2)
+    never = run(dataclasses.replace(config, symptom_onset_delay=10**30))
+    assert never == run(dataclasses.replace(config, symptom_onset_delay=100))
+    assert never != run(config)  # detections do change this run
+
+
 def test_initial_infected_bounded_by_population():
     with pytest.raises(ValidationError):
         SimConfig(population=5, initial_infected=6)
