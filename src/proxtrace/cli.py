@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .core import Category, DeviceId, SimClock, _pool_map, _unreadable_text_is_invalid
+from .core import Category, DeviceId, SimClock, _contact_rows, _pool_map, _unreadable_text_is_invalid
 from .errors import NoObservationsError, ProxTraceError, ValidationError
 from .protocol import Registry, read_event_log
 from .risk import (
@@ -86,6 +86,15 @@ def _write_manifest(command: str, params: dict, seed: int | None, outputs: list[
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _check_out(path: str) -> None:
+    """Refuse an output path no file can be written at, before any work is done."""
+    out = Path(path)
+    if out.is_dir():
+        raise ValidationError(f"--out {path}: is a directory")
+    if not out.parent.is_dir():
+        raise ValidationError(f"--out {path}: directory {out.parent} does not exist")
 
 
 def _read_observation_rows(path: str) -> tuple[list[int], list[float]]:
@@ -153,7 +162,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         index_case = DeviceId.from_hex(args.case)
     except ValidationError:
-        _two_hop_graph(args.graph, None, args.day)
+        for _ in _contact_rows(args.graph):
+            pass
         raise
     graph = _two_hop_graph(args.graph, index_case, args.day)
     traced = trace_co_contacts(index_case, graph, SimClock(args.day))
@@ -355,6 +365,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except NoObservationsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ live method that logged it, so a tampered event is held to the same
 preconditions as the original request: a consumed or never-issued code,
 a code issued twice, a device registered twice, an illegal transition,
 an unregistered endpoint, a self-meeting, a distance outside the
-Bluetooth range, a negative or non-finite duration and a weight vector
-too short for the scan categories are all rejected, and so is any event
-dated before the event ahead of it.
+Bluetooth range, a negative or non-finite duration, a summed duration past
+the float range and a weight vector too short for the scan categories are
+all rejected, and so is any event dated before the event ahead of it.
 """
 
 from __future__ import annotations
@@ -206,6 +206,14 @@ class _RegistryView(Mapping[DeviceId, _Row]):
 # Registry
 # =========================================================================
 
+def _summed_duration(total: float, duration: float) -> float:
+    """A contact's duration after one more booking; one past the float range is rejected."""
+    total += duration
+    if total == math.inf:
+        raise ValidationError("summed contact duration must stay finite")
+    return total
+
+
 class Registry:
     """Single logical owner of devices, codes, contacts, and notifications."""
 
@@ -300,20 +308,14 @@ class Registry:
     def _contact_list(
         self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
     ) -> ContactList:
-        """The owner's records as a value type; only those in `by_day` when given.
-
-        Records are built in ContactList order, (day, peer digest), so the
-        list's normalising sort is a single linear pass.
-        """
+        """The owner's records as a ContactList; only those in `by_day` when given."""
         ids = self._ids
         if by_day is None:
             by_day = self._contacts[owner]
         records = tuple(
             ContactRecord(peer=ids[peer], day=day, distance=distance, duration=duration)
-            for day in sorted(by_day)
-            for peer, (distance, duration) in sorted(
-                by_day[day].items(), key=lambda item: ids[item[0]].digest
-            )
+            for day, peers in by_day.items()
+            for peer, (distance, duration) in peers.items()
         )
         return ContactList(ids[owner], records)
 
@@ -484,7 +486,10 @@ class Registry:
                 "encounter_recorded", left.hex,
                 ValidationError("duration must be non-negative and finite"),
             )
-        self._book(left_handle, right_handle, self.clock.current_day, distance, dur)
+        try:
+            self._book(left_handle, right_handle, self.clock.current_day, distance, dur)
+        except ValidationError as exc:
+            raise self._fail("encounter_recorded", left.hex, exc)
         if self._log_events:
             self._log(
                 "encounter_recorded", left.hex, "ok",
@@ -495,6 +500,8 @@ class Registry:
         """Book one encounter on both endpoints: min distance, summed duration.
 
         The two endpoints share one slot, so a repeat updates both records.
+        A repeat whose summed duration would overflow raises ValidationError
+        and books nothing.
         """
         left_peers = self._contacts[left].setdefault(day, {})
         slot = left_peers.get(right)
@@ -503,9 +510,10 @@ class Registry:
             left_peers[right] = slot
             self._contacts[right].setdefault(day, {})[left] = slot
         else:
+            total = _summed_duration(slot[1], duration)
             if distance < slot[0]:
                 slot[0] = distance
-            slot[1] += duration
+            slot[1] = total
 
     def scan_handshake(
         self,
@@ -542,8 +550,17 @@ class Registry:
             if handle is not None and handle != own:
                 registered.append((handle, float(distance)))
         day = self.clock.current_day
+        duration = self.policy.encounter_duration_s
+        # Every sum the bookings below make is checked before the first one.
+        booked = self._contacts[own].get(day, {})
+        sums = {handle: booked[handle][1] if handle in booked else 0.0 for handle, _ in registered}
+        try:
+            for handle, _ in registered:
+                sums[handle] = _summed_duration(sums[handle], duration)
+        except ValidationError as exc:
+            raise self._fail("scan", actor, exc)
         for handle, distance in registered:
-            self._book(own, handle, day, distance, self.policy.encounter_duration_s)
+            self._book(own, handle, day, distance, duration)
         risk_class = note = None
         if registered:
             categories = [self._categorize(handle, day) for handle, _ in registered]

@@ -59,20 +59,17 @@ def trace_co_contacts(
     return tuple(found)
 
 
-def _two_hop_graph(
-    path: str | Path, index_case: DeviceId | None, today: int
-) -> dict[DeviceId, ContactList]:
+def _two_hop_graph(path: str | Path, index_case: DeviceId, today: int) -> dict[DeviceId, ContactList]:
     """The part of a contact graph CSV that tracing `index_case` on `today` reads.
 
     Every row is parsed and checked as read_contact_graph checks it, but
     only the index case's rows dated the lookback day or today and other
     owners' rows dated today are kept, as tuples.  Contact lists are built
     for the index case, if it owns a row, and for each peer it met on the
-    lookback day that owns a row dated today.  A None index case keeps
-    nothing.
+    lookback day that owns a row dated today.
     """
     lookback_day = today - TRACE_LOOKBACK_DAYS
-    case = index_case.digest if index_case is not None else None
+    case = index_case.digest
     case_owns_rows = False
     case_rows: list[_Row] = []
     today_rows: dict[bytes, list[_Row]] = {}
@@ -83,7 +80,7 @@ def _two_hop_graph(
                 case_rows.append((peer, day, distance, duration))
         elif day == today:
             today_rows.setdefault(owner.digest, []).append((peer, day, distance, duration))
-    if index_case is None or not case_owns_rows:
+    if not case_owns_rows:
         return {}
 
     def contact_list(owner: DeviceId, rows: list[_Row]) -> ContactList:

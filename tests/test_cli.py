@@ -641,6 +641,42 @@ def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, cha
 
 
 # -------------------------------------------------------------------------
+# unwritable output paths
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_replay_with_an_unwritable_out_prints_nothing(tmp_path, capsys, target):
+    reg = Registry(["clinic"], seed=2)
+    reg.register_user(reg.issue_otc("clinic").code, "cli-user-a")
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events, log)
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "digest.txt"
+    assert main(["replay", "--log", str(log), "--credential", "clinic", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: --out {out}: ")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_simulate_with_an_unwritable_out_runs_nothing(tmp_path, capsys, monkeypatch, target):
+    calls = []
+
+    def replicate_compare(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr("proxtrace.cli.replicate_compare", replicate_compare)
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "sim.csv"
+    assert main(SIM_ARGS + ["--replicates", "3", "--out", str(out)]) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: --out {out}: ")
+
+
+# -------------------------------------------------------------------------
 # unreadable input files
 # -------------------------------------------------------------------------
 

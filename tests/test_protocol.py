@@ -419,6 +419,50 @@ def test_non_finite_duration_is_rejected_and_logged():
     assert reg.state_digest() == digest
 
 
+def test_summed_duration_past_the_float_range_is_rejected_and_logged():
+    reg = make_registry()
+    a, b = enroll(reg, "a"), enroll(reg, "b")
+    reg.record_encounter(a, b, 1.0, 1e308)
+    digest = reg.state_digest()
+    with pytest.raises(ValidationError, match="summed contact duration must stay finite"):
+        reg.record_encounter(b, a, 0.5, 1e308)
+    assert (reg.events[-1].operation, reg.events[-1].outcome) == ("encounter_recorded", "ValidationError")
+    (record,) = reg.contact_list(a).records
+    assert (record.distance, record.duration) == (1.0, 1e308)
+    assert reg.state_digest() == digest
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [([], ["b", "b"]), (["b"], ["c", "b"])],
+    ids=["neighbour-listed-twice", "second-scan"],
+)
+def test_scan_summed_duration_past_the_float_range_books_nothing(first, second):
+    reg = make_registry(policy=RegistryPolicy(encounter_duration_s=1e308))
+    people = {tag: enroll(reg, tag) for tag in "sbc"}
+    if first:
+        reg.scan_handshake(people["s"], [(people[tag], 2.0) for tag in first])
+    digest, notes = reg.state_digest(), list(reg.notifications)
+    with pytest.raises(ValidationError, match="summed contact duration must stay finite"):
+        reg.scan_handshake(people["s"], [(people[tag], 1.0) for tag in second])
+    assert (reg.events[-1].operation, reg.events[-1].outcome) == ("scan", "ValidationError")
+    assert reg.state_digest() == digest
+    assert reg.notifications == notes
+    assert len(reg.contact_list(people["s"])) == len(first)
+
+
+def test_replay_rejects_a_summed_duration_past_the_float_range():
+    reg = make_registry()
+    a, b = enroll(reg, "a"), enroll(reg, "b")
+    reg.record_encounter(a, b, 1.0, 1e308)
+    events = reg.events + [reg.events[-1]]
+    with pytest.raises(
+        ValidationError,
+        match=f"^event {len(events)}: cannot replay 'encounter_recorded' .*summed contact duration",
+    ):
+        Registry.replay(events, [CRED])
+
+
 def test_contact_list_requires_registration():
     reg = make_registry()
     with pytest.raises(UnknownDeviceError):
@@ -662,6 +706,38 @@ def test_digest_and_graph_order_days_numerically(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "3d7ff12131f81ea3901adffa5a8eb8e52adec40c9f2431b9ab223d421f3459dd"
     )
+
+
+# one day's encounters: (left, right, distance, whole-second duration) over 8 devices
+day_encounters = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(0.1, 10.0), st.integers(0, 600))
+    .filter(lambda e: e[0] != e[1]),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(day_encounters, min_size=5, max_size=5), st.randoms(use_true_random=False),
+       st.integers(0, 7))
+def test_booking_order_never_reaches_an_output(tmp_path_factory, days, rnd, reporter):
+    # the same encounters, shuffled within each day, booked into two
+    # registries; whole-second durations keep every sum exact
+    outputs = []
+    for shuffled in (False, True):
+        reg = make_registry()
+        people = [enroll(reg, str(i)) for i in range(8)]
+        for day, encounters in enumerate(days):
+            reg.advance_clock(SimClock(day))
+            if shuffled:
+                encounters = rnd.sample(encounters, len(encounters))
+            for left, right, distance, duration in encounters:
+                reg.record_encounter(people[left], people[right], distance, float(duration))
+        notes = reg.update_status(reg.issue_otc(CRED).code, people[reporter], Stage.INFECTED)
+        path = tmp_path_factory.mktemp("graph") / "graph.csv"
+        write_contact_graph(reg.contact_graph, path)
+        lists = [reg.contact_graph[device] for device in people]
+        outputs.append((path.read_bytes(), reg.state_digest(), lists, notes))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

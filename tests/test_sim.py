@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtrace.core import Stage
 from proxtrace.errors import ValidationError
@@ -21,6 +24,8 @@ from proxtrace.sim import (
     run,
     step,
 )
+
+from reference_app import reference_run
 
 SMALL = SimConfig(population=300, seed=2, max_days=25)
 
@@ -284,6 +289,44 @@ def test_app_arm_contacts_match_brute_force_pairs():
         assert recorded == expected
         assert expected
     assert isolated_days >= 3
+
+
+@st.composite
+def app_configs(draw):
+    """Small, dense app-arm configurations: most agents meet most days."""
+    bluetooth_range = draw(st.floats(1.0, 10.0))
+    return SimConfig(
+        population=draw(st.integers(2, 40)),
+        initial_infected=draw(st.integers(0, 2)),
+        arena_side=draw(st.floats(1.0, 25.0)),
+        bluetooth_range=bluetooth_range,
+        infection_radius=bluetooth_range * draw(st.floats(0.1, 1.0)),
+        infection_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        symptom_onset_delay=draw(st.integers(0, 3)),
+        quarantine_start_delay=draw(st.integers(0, 3)),
+        quarantine_days=draw(st.integers(0, 3)),
+        infectious_period=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32)),
+        max_days=draw(st.integers(1, 12)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(app_configs())
+def test_app_arm_matches_the_reference_model(config):
+    worlds = []
+
+    def kept_world(cfg):
+        worlds.append(build_world(cfg))
+        return worlds[-1]
+
+    with mock.patch("proxtrace.sim.build_world", kept_world):
+        stats = run(config)
+    want_stats, want_windows = reference_run(config)
+    assert stats == want_stats
+    records = worlds[0].registry.devices
+    windows = [records[device].status.quarantine for device in worlds[0].devices]
+    assert [(q.start_day, q.end_day) if q else None for q in windows] == want_windows
 
 
 def test_baseline_arm_has_no_registry():
