@@ -88,6 +88,13 @@ def _write_manifest(command: str, params: dict, seed: int | None, outputs: list[
         handle.write("\n")
 
 
+def _path(text: str) -> str:
+    """argparse type of every path option: no file name can hold a NUL byte."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("path holds a NUL byte")
+    return text
+
+
 def _check_out(path: str) -> None:
     """Refuse an output path no file can be written at, before any work is done."""
     out = Path(path)
@@ -315,7 +322,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--radius", type=float, default=DEFAULT_AREA_RADIUS_M)
 
     p_risk = sub.add_parser("risk", help="score one observation CSV (category,distance rows)")
-    p_risk.add_argument("--observations", required=True)
+    p_risk.add_argument("--observations", type=_path, required=True)
     add_common_risk(p_risk)
     p_risk.set_defaults(func=_cmd_risk)
 
@@ -331,31 +338,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--repeats", type=int, default=DEFAULT_PLACEMENT_REPEATS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", required=True)
+        p.add_argument("--out", type=_path, required=True)
         p.set_defaults(func=_cmd_generate)
 
     p_trace = sub.add_parser("trace", help="co-contact trace over a contact graph CSV")
-    p_trace.add_argument("--graph", required=True)
+    p_trace.add_argument("--graph", type=_path, required=True)
     p_trace.add_argument("--case", required=True, help="index case digest (hex)")
     p_trace.add_argument("--day", type=int, required=True)
-    p_trace.add_argument("--out")
+    p_trace.add_argument("--out", type=_path)
     p_trace.set_defaults(func=_cmd_trace)
 
     p_sim = sub.add_parser("simulate", help="run the epidemic engine")
-    p_sim.add_argument("--config", help="key = value file of SimConfig fields")
+    p_sim.add_argument("--config", type=_path, help="key = value file of SimConfig fields")
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--population", type=int)
     p_sim.add_argument("--days", type=int, help="maximum simulated days")
     p_sim.add_argument("--arm", choices=("baseline", "app", "both"), default="both")
     p_sim.add_argument("--replicates", type=int, default=1)
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--out", type=_path, required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_replay = sub.add_parser("replay", help="rebuild registry state from an event log")
-    p_replay.add_argument("--log", required=True)
+    p_replay.add_argument("--log", type=_path, required=True)
     p_replay.add_argument("--credential", default="replay")
-    p_replay.add_argument("--out", help="also write the digest to this file, with a manifest")
+    p_replay.add_argument("--out", type=_path, help="also write the digest to this file, with a manifest")
     p_replay.set_defaults(func=_cmd_replay)
 
     return parser

@@ -283,17 +283,28 @@ GRAPH_CSV_HEADER = ("owner_digest_hex", "peer_digest_hex", "day", "distance_m", 
 
 
 def write_contact_graph(graph: Mapping[DeviceId, ContactList], path: str | Path) -> None:
-    """Serialize a contact graph, one row per record, sorted for stable bytes."""
+    """Serialize a contact graph, one row per record, sorted for stable bytes.
+
+    The bytes: the GRAPH_CSV_HEADER line, then one
+    `owner_hex,peer_hex,day,distance,duration` line per record, each field
+    written as its str() (no field ever needs quoting) and every line ended
+    by CRLF.  Owners come in digest order, each owner's records by (day,
+    peer digest).  A registry's contact_graph hands over its sorted rows
+    directly (Registry.state_digest reads the same ones), so no ContactList
+    is built for it; any other mapping is read through its lists' records.
+    """
+    sorted_rows = getattr(graph, "_sorted_rows", None)
+    rows = sorted_rows() if sorted_rows is not None else (
+        (owner.hex, rec.peer.hex, rec.day, rec.distance, rec.duration)
+        for owner in sorted(graph, key=lambda device: device.digest)
+        for rec in graph[owner].records
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(GRAPH_CSV_HEADER)
-        for owner in sorted(graph, key=lambda device: device.digest):
-            owner_hex = owner.digest.hex()
-            # csv writes a float as its repr
-            writer.writerows(
-                (owner_hex, rec.peer.digest.hex(), rec.day, rec.distance, rec.duration)
-                for rec in graph[owner].records
-            )
+        handle.write(",".join(GRAPH_CSV_HEADER) + "\r\n")
+        handle.writelines(
+            f"{owner},{peer},{day!s},{distance!s},{duration!s}\r\n"
+            for owner, peer, day, distance, duration in rows
+        )
 
 
 @contextlib.contextmanager

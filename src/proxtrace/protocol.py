@@ -178,13 +178,18 @@ class _RegistryView(Mapping[DeviceId, _Row]):
 
     Keys are the registered DeviceIds in registration order; anything else,
     including a value that is not a DeviceId, is absent.  `row` turns a
-    device handle into the value, read live on every lookup.
+    device handle into the value, read live on every lookup.  The
+    contact_graph view also carries the registry's sorted contact rows, which
+    write_contact_graph reads instead of building a ContactList per device.
     """
 
-    def __init__(self, registry: "Registry", row: Callable[[int], _Row]) -> None:
+    def __init__(
+        self, registry: "Registry", row: Callable[[int], _Row], sorted_rows: Callable | None = None
+    ) -> None:
         self._handle = registry._handle
         self._ids = registry._ids
         self._row = row
+        self._sorted_rows = sorted_rows
 
     def __getitem__(self, device: DeviceId) -> _Row:
         handle = self._handle.get(device.digest) if isinstance(device, DeviceId) else None
@@ -297,7 +302,7 @@ class Registry:
     def contact_graph(self) -> Mapping[DeviceId, ContactList]:
         """Every registered device is present, possibly with an empty list,
         so tracing can tell "no contacts" from "unknown device"."""
-        return _RegistryView(self, self._contact_list)
+        return _RegistryView(self, self._contact_list, self._sorted_contact_rows)
 
     def contact_list(self, device: DeviceId) -> ContactList:
         handle = self._handle.get(device.digest)
@@ -318,6 +323,29 @@ class Registry:
             for peer, (distance, duration) in peers.items()
         )
         return ContactList(ids[owner], records)
+
+    def _sorted_contact_rows(self) -> Iterator[tuple[str, str, int, float, float]]:
+        """Every contact row as (owner_hex, peer_hex, day, distance, duration).
+
+        Owners come in digest order, each owner's rows by (day, peer digest):
+        the one row order the graph CSV and state_digest share.  Days sort as
+        numbers, so day 10 follows day 9; fixed-width lower-case hex sorts like
+        the digest bytes.  Each handle's hex is formatted once, and rows are
+        sorted one owner at a time, so no list of every row is built.
+        """
+        hexes = [device.hex for device in self._ids]
+        owners = sorted(range(len(hexes)), key=hexes.__getitem__)
+        rank = [0] * len(owners)
+        for position, owner in enumerate(owners):
+            rank[owner] = position
+        for owner in owners:
+            owner_hex = hexes[owner]
+            days = self._contacts[owner]
+            for day in sorted(days):
+                peers = days[day]
+                for peer in sorted(peers, key=rank.__getitem__):
+                    distance, duration = peers[peer]
+                    yield owner_hex, hexes[peer], day, distance, duration
 
     # ------------------------------------------------------------------
     # one-time codes
@@ -640,15 +668,7 @@ class Registry:
         for code in sorted(self.otcs):
             otc = self.otcs[code]
             lines.append(f"otc|{code}|{otc.issued_day}|{int(otc.consumed)}")
-        # Sort the row tuples, not the formatted lines: as text, day 10 sorts before day 9.
-        hexes = [device.hex for device in self._ids]
-        contacts = sorted(
-            (hexes[owner], day, hexes[peer], distance, duration)
-            for owner, days in enumerate(self._contacts)
-            for day, peers in days.items()
-            for peer, (distance, duration) in peers.items()
-        )
-        for owner_hex, day, peer_hex, distance, duration in contacts:
+        for owner_hex, peer_hex, day, distance, duration in self._sorted_contact_rows():
             lines.append(f"contact|{owner_hex}|{day}|{peer_hex}|{distance!r}|{duration!r}")
         for note in sorted(
             self.notifications, key=lambda n: (n.day, n.kind.value, n.recipient.hex)

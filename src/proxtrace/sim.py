@@ -40,6 +40,12 @@ _MOVE_STREAM = 1
 
 _STAFF_CREDENTIAL = "field-clinic"
 
+# Size caps that follow from the engine's own representations, so a size
+# is accepted or rejected the same way on every machine: _pair_uniforms
+# packs each agent index into 32 bits, and infection_day is an int32 array.
+_MAX_POPULATION = 2**32 - 1
+_MAX_DAYS = 2**31 - 1
+
 
 # =========================================================================
 # Configuration
@@ -68,7 +74,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         checks = [
-            ("population", self.population >= 1),
+            ("population", 1 <= self.population <= _MAX_POPULATION),
             ("initial_infected", 0 <= self.initial_infected <= self.population),
             # the kd-tree sums squared coordinate differences: they must stay finite
             ("arena_side", self.arena_side is None
@@ -80,7 +86,7 @@ class SimConfig:
             ("quarantine_start_delay", self.quarantine_start_delay >= 0),
             ("quarantine_days", self.quarantine_days >= 0),
             ("infectious_period", self.infectious_period >= 1),
-            ("max_days", self.max_days >= 1),
+            ("max_days", 1 <= self.max_days <= _MAX_DAYS),
             ("encounter_duration_s", 0 <= self.encounter_duration_s < math.inf),
             ("seed", self.seed >= 0),
         ]

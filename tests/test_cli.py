@@ -810,8 +810,9 @@ def _file(lines):
 
 
 def _path(name):
-    """Where a path option points: its own file mostly, else a directory or nothing."""
-    return st.sampled_from([f"{{{name}}}"] * 6 + ["{dir}", "{missing}/x.csv"])
+    """Where a path option points: its own file mostly, else a directory, nothing,
+    or a name holding a NUL byte, which no file can have."""
+    return st.sampled_from([f"{{{name}}}"] * 6 + ["{dir}", "{missing}/x.csv", f"{{{name}}}\0x"])
 
 
 def _case(command, required, optional, **files):
@@ -823,6 +824,10 @@ def _case(command, required, optional, **files):
 
 numbers = st.sampled_from(EDGE_NUMBERS)
 sizes = st.sampled_from(["1", "2", "3"]) | st.sampled_from(SIZES)
+# At or past the engine's caps, so rejected when the config is built; a large
+# size below them would be a valid request for a huge world.
+populations = sizes | st.sampled_from([str(2**32), HUGE])
+days = sizes | st.sampled_from([str(2**31), HUGE])
 jobs = st.sampled_from(["-1", "0", "1", "2"])
 scoring = {"--weights": st.sampled_from(HOSTILE_WEIGHTS), "--radius": numbers}
 placing = {
@@ -839,7 +844,7 @@ HOSTILE_CASES = st.one_of(
           {"--graph": _path("graph"), "--case": st.sampled_from([A, B.upper(), "zz", ""]),
            "--day": numbers},
           {"--out": _path("out")}, graph=GRAPH_LINES),
-    _case("simulate", {"--population": sizes, "--days": sizes, "--out": _path("out")},
+    _case("simulate", {"--population": populations, "--days": days, "--out": _path("out")},
           {"--config": _path("config"), "--seed": numbers, "--replicates": sizes,
            "--arm": st.sampled_from(["baseline", "app", "both", "bogus"]), "--jobs": jobs},
           config=CONFIG_LINES),
@@ -868,6 +873,9 @@ SMALL_SIM = [
 )
 @example((SMALL_SIM, {"config": b"arena_side = 1e300\ninfection_probability = 1\n"})).via(
     "an arena whose squared side overflows"
+)
+@example((["trace", "--graph", "{graph}\0x", "--case", A, "--day", "1"], {"graph": b""})).via(
+    "a path holding a NUL byte"
 )
 def test_hostile_input_exits_cleanly(case):
     # main returns 0, 1 or 2 and raises nothing, warnings included; a failure

@@ -5,9 +5,11 @@ every code should be able to do next; the registry must agree after every
 operation, successful or failed.
 """
 
+import csv
 import dataclasses
 import hashlib
 import inspect
+import math
 import random
 
 import numpy as np
@@ -738,6 +740,119 @@ def test_booking_order_never_reaches_an_output(tmp_path_factory, days, rnd, repo
         lists = [reg.contact_graph[device] for device in people]
         outputs.append((path.read_bytes(), reg.state_digest(), lists, notes))
     assert outputs[0] == outputs[1]
+
+
+def reference_graph_bytes(graph, path) -> bytes:
+    """The contact graph as csv.writer wrote it, read through the ContactLists."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("owner_digest_hex", "peer_digest_hex", "day", "distance_m", "duration_s"))
+        for owner in sorted(graph, key=lambda device: device.digest):
+            writer.writerows(
+                (owner.hex, rec.peer.hex, rec.day, rec.distance, rec.duration)
+                for rec in graph[owner].records
+            )
+    return path.read_bytes()
+
+
+def reference_digest(reg: Registry) -> str:
+    """state_digest from the public views, its contact rows sorted as whole tuples."""
+    lines = []
+    for record in sorted(reg.devices.values(), key=lambda r: r.device.digest):
+        q = record.status.quarantine
+        q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
+        lines.append(
+            f"device|{record.device.hex}|{record.status.stage.value}|{q_text}|{record.registered_day}"
+        )
+    lines += [f"otc|{c}|{reg.otcs[c].issued_day}|{int(reg.otcs[c].consumed)}" for c in sorted(reg.otcs)]
+    contacts = sorted(
+        (owner.hex, rec.day, rec.peer.hex, rec.distance, rec.duration)
+        for owner, contact_list in reg.contact_graph.items()
+        for rec in contact_list.records
+    )
+    lines += [f"contact|{o}|{day}|{p}|{dist!r}|{dur!r}" for o, day, p, dist, dur in contacts]
+    for note in sorted(reg.notifications, key=lambda n: (n.day, n.kind.value, n.recipient.hex)):
+        cls = note.risk_class.name if note.risk_class is not None else "-"
+        lines.append(f"notify|{note.day}|{note.kind.value}|{note.recipient.hex}|{cls}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+# (day, left, right, distance, duration, booked twice) over devices 0-4; device
+# 5 never meets anyone, and days run past 9 so day 10 must sort after day 9
+graph_encounters = st.lists(
+    st.tuples(
+        st.integers(0, 12), st.integers(0, 4), st.integers(0, 4), st.floats(0.1, 10.0),
+        st.integers(0, 600) | st.floats(0.0, 600.0), st.booleans(),
+    ).filter(lambda e: e[1] != e[2]),
+    max_size=40,
+).map(sorted)
+# how the plain mapping stores each field: ints and numpy scalars included
+day_types = st.sampled_from([int, np.int64])
+distance_types = st.sampled_from([float, np.float64, np.float32, math.ceil])
+duration_types = st.sampled_from([float, np.float64, np.int64, int])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_encounters, st.integers(0, 5), day_types, distance_types, duration_types)
+def test_graph_writer_and_digest_match_their_references(
+    tmp_path_factory, encounters, reporter, day_type, distance_type, duration_type
+):
+    tmp = tmp_path_factory.mktemp("graph")
+    reg = make_registry()
+    people = [enroll(reg, str(i)) for i in range(6)]
+    for day, left, right, distance, duration, twice in encounters:
+        reg.advance_clock(SimClock(day))
+        for _ in range(1 + twice):
+            reg.record_encounter(people[left], people[right], distance, duration)
+    reg.advance_clock(SimClock(13))
+    reg.update_status(reg.issue_otc(CRED).code, people[reporter], Stage.INFECTED)
+    write_contact_graph(reg.contact_graph, tmp / "graph.csv")
+    assert (tmp / "graph.csv").read_bytes() == reference_graph_bytes(reg.contact_graph, tmp / "ref.csv")
+    assert reg.state_digest() == reference_digest(reg)
+
+    records: dict = {device: [] for device in people}
+    for day, left, right, distance, duration, twice in encounters:
+        for owner, peer in ((left, right), (right, left)):
+            record = ContactRecord(
+                people[peer], day_type(day), distance_type(distance), duration_type(duration)
+            )
+            records[people[owner]] += [record] * (1 + twice)
+    plain = {owner: ContactList(owner, tuple(recs)) for owner, recs in records.items()}
+    write_contact_graph(plain, tmp / "plain.csv")
+    assert (tmp / "plain.csv").read_bytes() == reference_graph_bytes(plain, tmp / "ref.csv")
+
+
+@pytest.fixture
+def value_builds(monkeypatch):
+    """Count the ContactList and ContactRecord constructions."""
+    builds = {"ContactList": 0, "ContactRecord": 0}
+    for cls in (ContactList, ContactRecord):
+
+        def counting(self, original=cls.__post_init__, name=cls.__name__):
+            builds[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return builds
+
+
+def test_writing_the_registry_graph_builds_no_contact_value(tmp_path, value_builds):
+    reg = make_registry()
+    people = [enroll(reg, str(i)) for i in range(20)]
+    rnd = random.Random(5)
+    for n in range(600):
+        if n % 100 == 0:
+            reg.advance_clock(SimClock(n // 100))
+        left, right = rnd.sample(people, 2)
+        reg.record_encounter(left, right, rnd.uniform(0.5, 9.5))
+    value_builds.update(ContactList=0, ContactRecord=0)
+    write_contact_graph(reg.contact_graph, tmp_path / "graph.csv")
+    reg.state_digest()
+    assert value_builds == {"ContactList": 0, "ContactRecord": 0}
+    # the counters do see the lists the views build
+    rows = len((tmp_path / "graph.csv").read_text().splitlines()) - 1
+    assert sum(len(contacts) for contacts in reg.contact_graph.values()) == rows
+    assert value_builds == {"ContactList": len(people), "ContactRecord": rows}
 
 
 @pytest.mark.parametrize(

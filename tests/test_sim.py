@@ -59,6 +59,18 @@ def test_config_validation_names_the_field():
             SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("population", 2**32), ("population", 10**30), ("max_days", 2**31), ("max_days", 10**30)],
+)
+def test_config_rejects_sizes_past_the_engine_s_representations(field, value):
+    # Agent indices are packed into 32 bits for the pair draws, and infection
+    # days are int32; only values at or past those caps are tried, since a
+    # world just below them would need tens of GB.
+    with pytest.raises(ValidationError, match=f"invalid value for config field '{field}'"):
+        SimConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["bluetooth_range", "encounter_duration_s", "arena_side"])
 def test_config_rejects_an_infinite_range_duration_or_arena(field):
     # The registry cannot book an infinite range or duration, and no position
