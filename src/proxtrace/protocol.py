@@ -29,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -66,6 +67,10 @@ from .tracing import TRACE_LOOKBACK_DAYS, trace_co_contacts
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
 _OTC_BITS = 128
+
+# state_digest joins and hashes this many lines at a time, so its extra
+# memory stays fixed however many contact rows the registry holds.
+_DIGEST_CHUNK_LINES = 4096
 
 
 # =========================================================================
@@ -242,6 +247,9 @@ class Registry:
         # order; every per-device column below is indexed by it.
         self._handle: dict[bytes, int] = {}
         self._ids: list[DeviceId] = []
+        # Each device's hex text, formatted once and shared by every log row
+        # and contact row that names the device.
+        self._hexes: list[str] = []
         self._records: list[DeviceRecord] = []
         # Whether each device's stage is INFECTED, derived from its record
         # by the row writers (_register, _set_status) for the exposure scans.
@@ -330,10 +338,11 @@ class Registry:
         Owners come in digest order, each owner's rows by (day, peer digest):
         the one row order the graph CSV and state_digest share.  Days sort as
         numbers, so day 10 follows day 9; fixed-width lower-case hex sorts like
-        the digest bytes.  Each handle's hex is formatted once, and rows are
-        sorted one owner at a time, so no list of every row is built.
+        the digest bytes.  The hex texts are the registry's per-device column,
+        and rows are sorted one owner at a time, so no list of every row is
+        built.
         """
-        hexes = [device.hex for device in self._ids]
+        hexes = self._hexes
         owners = sorted(range(len(hexes)), key=hexes.__getitem__)
         rank = [0] * len(owners)
         for position, owner in enumerate(owners):
@@ -394,13 +403,15 @@ class Registry:
         record = DeviceRecord(
             device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
         )
+        hex_text = device.hex
         self._handle[device.digest] = len(self._ids)
         self._ids.append(device)
+        self._hexes.append(hex_text)
         self._records.append(record)
         self._infected.append(stage is Stage.INFECTED)
         self._last_checked.append(stage)
         self._contacts.append({})
-        self._log("user_registered", device.hex, "ok", code=otc_code, status=stage.value)
+        self._log("user_registered", hex_text, "ok", code=otc_code, status=stage.value)
         return record
 
     # ------------------------------------------------------------------
@@ -421,8 +432,8 @@ class Registry:
         Returns the notifications actually emitted (duplicates for the same
         recipient, kind, and day are suppressed).
         """
-        actor = device.hex
         handle = self._resolve("status_updated", device)
+        actor = self._hexes[handle]
         otc = self._checked_otc(otc_code, "status_updated", actor)
         try:
             status = self._records[handle].status.with_stage(new_stage)
@@ -520,8 +531,8 @@ class Registry:
             raise self._fail("encounter_recorded", left.hex, exc)
         if self._log_events:
             self._log(
-                "encounter_recorded", left.hex, "ok",
-                peer=right.hex, distance=distance, duration=dur,
+                "encounter_recorded", self._hexes[left_handle], "ok",
+                peer=self._hexes[right_handle], distance=distance, duration=dur,
             )
 
     def _book(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
@@ -531,12 +542,20 @@ class Registry:
         A repeat whose summed duration would overflow raises ValidationError
         and books nothing.
         """
-        left_peers = self._contacts[left].setdefault(day, {})
+        left_days = self._contacts[left]
+        left_peers = left_days.get(day)
+        if left_peers is None:
+            left_peers = left_days[day] = {}
         slot = left_peers.get(right)
         if slot is None:
             slot = [distance, duration]
             left_peers[right] = slot
-            self._contacts[right].setdefault(day, {})[left] = slot
+            right_days = self._contacts[right]
+            right_peers = right_days.get(day)
+            if right_peers is None:
+                right_days[day] = {left: slot}
+            else:
+                right_peers[left] = slot
         else:
             total = _summed_duration(slot[1], duration)
             if distance < slot[0]:
@@ -556,8 +575,8 @@ class Registry:
         a null class (the documented no-data outcome).  The scanner learns
         only the classified area risk, never any neighbor's status.
         """
-        actor = scanner.hex
         own = self._resolve("scan", scanner, "scanner")
+        actor = self._hexes[own]
         if len(weights) < len(Category):
             raise self._fail(
                 "scan", actor,
@@ -648,7 +667,7 @@ class Registry:
             note = self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
         else:
             note = None
-        self._log("status_check", device.hex, "ok")
+        self._log("status_check", self._hexes[handle], "ok")
         return note
 
     # ------------------------------------------------------------------
@@ -656,27 +675,43 @@ class Registry:
     # ------------------------------------------------------------------
 
     def state_digest(self) -> str:
-        """Order-independent digest of the full registry state."""
-        lines: list[str] = []
-        for record in sorted(self._records, key=lambda r: r.device.digest):
+        """Order-independent digest of the full registry state.
+
+        The SHA-256 of its state lines joined by newlines, UTF-8 encoded.
+        The lines are hashed _DIGEST_CHUNK_LINES at a time, with the
+        newline between chunks carried over, so the bytes hashed are the
+        same as for one joined text but no list or text of every line is
+        ever held.
+        """
+        digest = hashlib.sha256()
+        lines = self._state_lines()
+        separator = ""
+        while chunk := list(islice(lines, _DIGEST_CHUNK_LINES)):
+            digest.update((separator + "\n".join(chunk)).encode("utf-8"))
+            separator = "\n"
+        return digest.hexdigest()
+
+    def _state_lines(self) -> Iterator[str]:
+        """state_digest's lines: devices, codes, contacts, notifications, each sorted."""
+        hexes = self._hexes
+        for handle in sorted(range(len(hexes)), key=hexes.__getitem__):
+            record = self._records[handle]
             q = record.status.quarantine
             q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
-            lines.append(
-                f"device|{record.device.hex}|{record.status.stage.value}|{q_text}"
+            yield (
+                f"device|{hexes[handle]}|{record.status.stage.value}|{q_text}"
                 f"|{record.registered_day}"
             )
         for code in sorted(self.otcs):
             otc = self.otcs[code]
-            lines.append(f"otc|{code}|{otc.issued_day}|{int(otc.consumed)}")
+            yield f"otc|{code}|{otc.issued_day}|{int(otc.consumed)}"
         for owner_hex, peer_hex, day, distance, duration in self._sorted_contact_rows():
-            lines.append(f"contact|{owner_hex}|{day}|{peer_hex}|{distance!r}|{duration!r}")
+            yield f"contact|{owner_hex}|{day}|{peer_hex}|{distance!r}|{duration!r}"
         for note in sorted(
             self.notifications, key=lambda n: (n.day, n.kind.value, n.recipient.hex)
         ):
             cls = note.risk_class.name if note.risk_class is not None else "-"
-            lines.append(f"notify|{note.day}|{note.kind.value}|{note.recipient.hex}|{cls}")
-        blob = "\n".join(lines).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+            yield f"notify|{note.day}|{note.kind.value}|{note.recipient.hex}|{cls}"
 
     @classmethod
     def replay(
@@ -778,14 +813,25 @@ def write_event_log(events: Sequence[Event], path: str | Path) -> None:
 
 
 def read_event_log(path: str | Path) -> list[Event]:
+    """The events of a log written by write_event_log, in file order.
+
+    The operation, actor and outcome columns repeat the same few thousand
+    texts, so each distinct text is kept once per read and shared by every
+    event that carries it.
+    """
     events: list[Event] = []
+    shared = {}.setdefault
     with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and tuple(row) == EVENT_LOG_HEADER):
                 continue
             try:  # the columns of EVENT_LOG_HEADER, in order
-                events.append(Event(int(row[0]), *row[1:4], json.loads(row[4]) if row[4] else {}))
+                day, operation, actor, outcome = int(row[0]), row[1], row[2], row[3]
+                events.append(Event(
+                    day, shared(operation, operation), shared(actor, actor),
+                    shared(outcome, outcome), json.loads(row[4]) if row[4] else {},
+                ))
             except (IndexError, ValueError, RecursionError) as exc:  # too deeply nested JSON
                 raise ValidationError(f"line {lineno}: malformed event row ({exc})") from exc
     return events

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,12 @@ _STAFF_CREDENTIAL = "field-clinic"
 # packs each agent index into 32 bits, and infection_day is an int32 array.
 _MAX_POPULATION = 2**32 - 1
 _MAX_DAYS = 2**31 - 1
+
+# Counts and day numbers: a float here would reach numpy as a size or a lag.
+_INTEGRAL_FIELDS = (
+    "population", "initial_infected", "symptom_onset_delay", "quarantine_start_delay",
+    "quarantine_days", "infectious_period", "max_days", "seed",
+)
 
 
 # =========================================================================
@@ -73,6 +80,13 @@ class SimConfig:
     encounter_duration_s: float = 300.0
 
     def __post_init__(self) -> None:
+        # Checked first, as the range checks compare them; numpy integers are
+        # stored as int, which random.Random accepts as a seed.
+        for name in _INTEGRAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValidationError(f"invalid value for config field {name!r}")
+            object.__setattr__(self, name, int(value))
         checks = [
             ("population", 1 <= self.population <= _MAX_POPULATION),
             ("initial_infected", 0 <= self.initial_infected <= self.population),

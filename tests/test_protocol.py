@@ -9,8 +9,10 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from proxtrace.errors import (
     ValidationError,
 )
 from proxtrace.protocol import (
+    _DIGEST_CHUNK_LINES,
     EVENT_LOG_HEADER,
     NotificationKind,
     Registry,
@@ -755,8 +758,8 @@ def reference_graph_bytes(graph, path) -> bytes:
     return path.read_bytes()
 
 
-def reference_digest(reg: Registry) -> str:
-    """state_digest from the public views, its contact rows sorted as whole tuples."""
+def reference_state_lines(reg: Registry) -> list[str]:
+    """state_digest's lines from the public views, its contact rows sorted as whole tuples."""
     lines = []
     for record in sorted(reg.devices.values(), key=lambda r: r.device.digest):
         q = record.status.quarantine
@@ -774,7 +777,11 @@ def reference_digest(reg: Registry) -> str:
     for note in sorted(reg.notifications, key=lambda n: (n.day, n.kind.value, n.recipient.hex)):
         cls = note.risk_class.name if note.risk_class is not None else "-"
         lines.append(f"notify|{note.day}|{note.kind.value}|{note.recipient.hex}|{cls}")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return lines
+
+
+def reference_digest(reg: Registry) -> str:
+    return hashlib.sha256("\n".join(reference_state_lines(reg)).encode("utf-8")).hexdigest()
 
 
 # (day, left, right, distance, duration, booked twice) over devices 0-4; device
@@ -820,6 +827,82 @@ def test_graph_writer_and_digest_match_their_references(
     plain = {owner: ContactList(owner, tuple(recs)) for owner, recs in records.items()}
     write_contact_graph(plain, tmp / "plain.csv")
     assert (tmp / "plain.csv").read_bytes() == reference_graph_bytes(plain, tmp / "ref.csv")
+
+
+def registry_with_state_lines(count: int) -> Registry:
+    """A registry whose state_digest hashes exactly `count` lines.
+
+    Each enrolment adds a device and a consumed code (2 lines), each new
+    pair-day adds a contact row per endpoint (2 lines), and a spare code
+    makes up an odd count.
+    """
+    reg = make_registry(log_events=False)
+    people = [enroll(reg, str(i)) for i in range(min(count // 2, 60))]
+    pair_days = (
+        (day, left, right)
+        for day in itertools.count()
+        for left in range(len(people))
+        for right in range(left + 1, len(people))
+    )
+    for day, left, right in itertools.islice(pair_days, (count - 2 * len(people)) // 2):
+        reg.advance_clock(SimClock(day))
+        reg.record_encounter(people[left], people[right], 1.5, 30.0)
+    if count % 2:
+        reg.issue_otc(CRED)
+    return reg
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, _DIGEST_CHUNK_LINES])
+def test_digest_matches_its_reference_across_chunk_boundaries(offset):
+    count = _DIGEST_CHUNK_LINES + offset
+    reg = registry_with_state_lines(count)
+    assert len(reference_state_lines(reg)) == count
+    assert reg.state_digest() == reference_digest(reg)
+
+
+def test_digest_of_an_empty_registry_hashes_no_bytes():
+    reg = make_registry()
+    assert reg.state_digest() == reference_digest(reg) == hashlib.sha256(b"").hexdigest()
+
+
+def test_digest_memory_does_not_grow_with_the_contact_rows():
+    # About 60 000 lines, nearly all contact rows, whose joined text is about
+    # 5 MB.  Hashing them a chunk at a time holds about one chunk's text;
+    # joining every line first held the lines, the text and its bytes.
+    reg = registry_with_state_lines(60_000)
+    text_bytes = len("\n".join(reference_state_lines(reg)).encode("utf-8"))
+    bound = 2_000_000
+    assert text_bytes > 2 * bound
+    tracemalloc.start()
+    try:
+        reg.state_digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_logged_encounters_share_their_device_s_hex_text():
+    reg = make_registry()
+    a, b, c = (enroll(reg, tag) for tag in "abc")
+    reg.record_encounter(a, b, 2.0)
+    reg.record_encounter(a, c, 2.0)
+    reg.record_encounter(c, b, 2.0)
+    first, second, third = (e for e in reg.events if e.operation == "encounter_recorded")
+    assert first.actor == a.hex
+    assert first.actor is second.actor
+    assert first.details["peer"] is third.details["peer"]
+
+
+def test_read_event_log_shares_repeated_text(tmp_path):
+    reg = busy_registry()
+    path = tmp_path / "events.csv"
+    write_event_log(reg.events, path)
+    events = read_event_log(path)
+    assert events == reg.events
+    for field in ("operation", "actor", "outcome"):
+        texts = [getattr(event, field) for event in events]
+        assert len({id(text) for text in texts}) == len(set(texts))
 
 
 @pytest.fixture

@@ -71,6 +71,28 @@ def test_config_rejects_sizes_past_the_engine_s_representations(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "population", "initial_infected", "symptom_onset_delay", "quarantine_start_delay",
+        "quarantine_days", "infectious_period", "max_days", "seed",
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+def test_config_rejects_a_count_or_day_that_is_not_an_integer(field, value):
+    # a float population or max_days reached numpy as a bare TypeError, and a
+    # float symptom_onset_delay ran with a fractional detection lag
+    with pytest.raises(ValidationError, match=f"invalid value for config field '{field}'"):
+        SimConfig(**{"population": 3, "max_days": 2, field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    config = SimConfig(population=np.int64(3), max_days=np.int32(2), seed=np.uint8(1))
+    assert config == SimConfig(population=3, max_days=2, seed=1)
+    assert type(config.seed) is int
+    assert run(config) == run(SimConfig(population=3, max_days=2, seed=1))
+
+
 @pytest.mark.parametrize("field", ["bluetooth_range", "encounter_duration_s", "arena_side"])
 def test_config_rejects_an_infinite_range_duration_or_arena(field):
     # The registry cannot book an infinite range or duration, and no position
