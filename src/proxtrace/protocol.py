@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -35,6 +36,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import csv
+
+import numpy as np
 
 from .core import (
     CONTACT_WINDOW_DAYS,
@@ -71,6 +74,11 @@ _OTC_BITS = 128
 # state_digest joins and hashes this many lines at a time, so its extra
 # memory stays fixed however many contact rows the registry holds.
 _DIGEST_CHUNK_LINES = 4096
+
+# The quarantine columns hold C int64 days, so a window bound past this
+# limit is stored as the limit; quarantine_mask answers only for days below
+# it, where a stored bound compares exactly as the true one.
+_MASK_DAY_LIMIT = 2**63 - 1
 
 
 # =========================================================================
@@ -255,8 +263,18 @@ class Registry:
         # by the row writers (_register, _set_status) for the exposure scans.
         self._infected: list[bool] = []
         self._last_checked: list[Stage] = []
-        # The contact graph: day -> peer handle -> [min_dist, total_dur].
-        self._contacts: list[dict[int, dict[int, list[float]]]] = []
+        # Each device's quarantine window as [start, end) day columns, (0, 0)
+        # for none, mirrored from its record by the row writers for
+        # quarantine_mask; a bound past _MASK_DAY_LIMIT is stored as the limit.
+        self._q_start = array("q")
+        self._q_end = array("q")
+        # The contact graph: day -> peer handle -> slot, where a slot indexes
+        # the closest distance and summed duration columns.  Both endpoints
+        # of a pair share one slot.  The store holds only ints and C doubles,
+        # so the collector tracks one dict per device and never a slot.
+        self._contacts: list[dict[int, dict[int, int]]] = []
+        self._min_distance = array("d")
+        self._total_duration = array("d")
         self._log_events = log_events
 
     # ------------------------------------------------------------------
@@ -319,16 +337,20 @@ class Registry:
         return self._contact_list(handle)
 
     def _contact_list(
-        self, owner: int, by_day: Mapping[int, Mapping[int, list[float]]] | None = None
+        self, owner: int, by_day: Mapping[int, Mapping[int, int]] | None = None
     ) -> ContactList:
         """The owner's records as a ContactList; only those in `by_day` when given."""
         ids = self._ids
+        distances = self._min_distance
+        durations = self._total_duration
         if by_day is None:
             by_day = self._contacts[owner]
         records = tuple(
-            ContactRecord(peer=ids[peer], day=day, distance=distance, duration=duration)
+            ContactRecord(
+                peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
+            )
             for day, peers in by_day.items()
-            for peer, (distance, duration) in peers.items()
+            for peer, slot in peers.items()
         )
         return ContactList(ids[owner], records)
 
@@ -343,6 +365,8 @@ class Registry:
         built.
         """
         hexes = self._hexes
+        distances = self._min_distance
+        durations = self._total_duration
         owners = sorted(range(len(hexes)), key=hexes.__getitem__)
         rank = [0] * len(owners)
         for position, owner in enumerate(owners):
@@ -353,8 +377,8 @@ class Registry:
             for day in sorted(days):
                 peers = days[day]
                 for peer in sorted(peers, key=rank.__getitem__):
-                    distance, duration = peers[peer]
-                    yield owner_hex, hexes[peer], day, distance, duration
+                    slot = peers[peer]
+                    yield owner_hex, hexes[peer], day, distances[slot], durations[slot]
 
     # ------------------------------------------------------------------
     # one-time codes
@@ -410,6 +434,8 @@ class Registry:
         self._records.append(record)
         self._infected.append(stage is Stage.INFECTED)
         self._last_checked.append(stage)
+        self._q_start.append(0)
+        self._q_end.append(0)
         self._contacts.append({})
         self._log("user_registered", hex_text, "ok", code=otc_code, status=stage.value)
         return record
@@ -464,7 +490,8 @@ class Registry:
         met = contacts[index].get(lookback_day, {})
         min_duration = self.policy.min_contact_duration_s
         if min_duration > 0:
-            met = {peer: slot for peer, slot in met.items() if slot[1] >= min_duration}
+            durations = self._total_duration
+            met = {peer: slot for peer, slot in met.items() if durations[slot] >= min_duration}
         subgraph = {device: self._contact_list(index, {lookback_day: met})}
         for peer in met:
             subgraph[self._ids[peer]] = self._contact_list(
@@ -487,6 +514,23 @@ class Registry:
         record = self._records[handle]
         self._records[handle] = DeviceRecord(record.device, status, record.registered_day)
         self._infected[handle] = status.stage is Stage.INFECTED
+        window = status.quarantine
+        if window is not None:
+            self._q_start[handle] = min(window.start_day, _MASK_DAY_LIMIT)
+            self._q_end[handle] = min(window.end_day, _MASK_DAY_LIMIT)
+
+    def quarantine_mask(self, day: int) -> np.ndarray:
+        """Whether each device is quarantined on `day`, in registration order.
+
+        Equal to `[rec.status.is_quarantined(day) for rec in devices.values()]`,
+        read as one comparison over the quarantine columns.  A day that is not
+        an integer in [0, 2**63 - 1) raises ValidationError.
+        """
+        if not isinstance(day, Integral) or not 0 <= day < _MASK_DAY_LIMIT:
+            raise ValidationError(f"day {day!r} must be an integer in [0, 2**63 - 1)")
+        start = np.frombuffer(self._q_start, dtype=np.int64)
+        end = np.frombuffer(self._q_end, dtype=np.int64)
+        return (start <= day) & (day < end)
 
     # ------------------------------------------------------------------
     # encounters and scans
@@ -538,9 +582,11 @@ class Registry:
     def _book(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
         """Book one encounter on both endpoints: min distance, summed duration.
 
-        The two endpoints share one slot, so a repeat updates both records.
-        A repeat whose summed duration would overflow raises ValidationError
-        and books nothing.
+        A new pair-day appends one slot to the distance and duration columns,
+        and the two endpoints share its index, so a repeat updates both
+        records in place; durations are summed in arrival order.  A repeat
+        whose summed duration would overflow raises ValidationError and books
+        nothing.
         """
         left_days = self._contacts[left]
         left_peers = left_days.get(day)
@@ -548,7 +594,9 @@ class Registry:
             left_peers = left_days[day] = {}
         slot = left_peers.get(right)
         if slot is None:
-            slot = [distance, duration]
+            slot = len(self._min_distance)
+            self._min_distance.append(distance)
+            self._total_duration.append(duration)
             left_peers[right] = slot
             right_days = self._contacts[right]
             right_peers = right_days.get(day)
@@ -557,10 +605,11 @@ class Registry:
             else:
                 right_peers[left] = slot
         else:
-            total = _summed_duration(slot[1], duration)
-            if distance < slot[0]:
-                slot[0] = distance
-            slot[1] = total
+            durations = self._total_duration
+            total = _summed_duration(durations[slot], duration)
+            if distance < self._min_distance[slot]:
+                self._min_distance[slot] = distance
+            durations[slot] = total
 
     def scan_handshake(
         self,
@@ -584,6 +633,9 @@ class Registry:
                     f"a scan needs {len(Category)} category weights, got {len(weights)}"
                 ),
             )
+        # Logged text for each neighbour: the hex column's for a registered one.
+        hexes = self._hexes
+        logged = []
         registered = []
         for peer, distance in neighbors:
             if not 0 < distance <= self.policy.bluetooth_range_m:
@@ -594,13 +646,18 @@ class Registry:
                     ),
                 )
             handle = self._handle.get(peer.digest)
+            logged.append([peer.hex if handle is None else hexes[handle], distance])
             if handle is not None and handle != own:
                 registered.append((handle, float(distance)))
         day = self.clock.current_day
         duration = self.policy.encounter_duration_s
         # Every sum the bookings below make is checked before the first one.
         booked = self._contacts[own].get(day, {})
-        sums = {handle: booked[handle][1] if handle in booked else 0.0 for handle, _ in registered}
+        durations = self._total_duration
+        sums = {
+            handle: durations[booked[handle]] if handle in booked else 0.0
+            for handle, _ in registered
+        }
         try:
             for handle, _ in registered:
                 sums[handle] = _summed_duration(sums[handle], duration)
@@ -616,7 +673,7 @@ class Registry:
             note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
         self._log(
             "scan", actor, "ok",
-            neighbors=[[p.hex, d] for p, d in neighbors],
+            neighbors=logged,
             weights=list(weights.weights),
         )
         return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
@@ -815,6 +872,7 @@ def write_event_log(events: Sequence[Event], path: str | Path) -> None:
 def read_event_log(path: str | Path) -> list[Event]:
     """The events of a log written by write_event_log, in file order.
 
+    A row with more or fewer columns than EVENT_LOG_HEADER is malformed.
     The operation, actor and outcome columns repeat the same few thousand
     texts, so each distinct text is kept once per read and shared by every
     event that carries it.
@@ -827,11 +885,13 @@ def read_event_log(path: str | Path) -> list[Event]:
             if not row or (lineno == 1 and tuple(row) == EVENT_LOG_HEADER):
                 continue
             try:  # the columns of EVENT_LOG_HEADER, in order
-                day, operation, actor, outcome = int(row[0]), row[1], row[2], row[3]
+                if len(row) != len(EVENT_LOG_HEADER):
+                    raise ValueError(f"{len(row)} columns, not {len(EVENT_LOG_HEADER)}")
+                day_text, operation, actor, outcome, details = row
                 events.append(Event(
-                    day, shared(operation, operation), shared(actor, actor),
-                    shared(outcome, outcome), json.loads(row[4]) if row[4] else {},
+                    int(day_text), shared(operation, operation), shared(actor, actor),
+                    shared(outcome, outcome), json.loads(details) if details else {},
                 ))
-            except (IndexError, ValueError, RecursionError) as exc:  # too deeply nested JSON
+            except (ValueError, RecursionError) as exc:  # too deeply nested JSON
                 raise ValidationError(f"line {lineno}: malformed event row ({exc})") from exc
     return events

@@ -217,16 +217,14 @@ def build_world(config: SimConfig) -> WorldState:
 # =========================================================================
 
 def _isolated(world: WorldState, day: int) -> np.ndarray:
-    """Agents in quarantine on `day`, in agent order; nobody without the app."""
-    registry = world.registry
-    if registry is None:
+    """Agents in quarantine on `day`, in agent order; nobody without the app.
+
+    build_world registers agent i as the registry's i-th device, so the
+    registry's mask, in registration order, is already in agent order.
+    """
+    if world.registry is None:
         return np.zeros(len(world.devices), dtype=bool)
-    records = registry.devices
-    return np.fromiter(
-        (records[device].status.is_quarantined(day) for device in world.devices),
-        dtype=bool,
-        count=len(world.devices),
-    )
+    return world.registry.quarantine_mask(day)
 
 
 def step(world: WorldState) -> tuple[WorldState, DayStats]:

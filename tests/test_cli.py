@@ -640,6 +640,28 @@ def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, cha
     assert cause in err
 
 
+@pytest.mark.parametrize("change", ["extra-columns", "short-row"])
+def test_replay_of_an_event_row_with_the_wrong_column_count_exits_one(tmp_path, capsys, change):
+    # the otc_issued row gains two trailing fields, or loses its details
+    reg = Registry(["clinic"], seed=2)
+    reg.register_user(reg.issue_otc("clinic").code, "cli-user-a")
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events, log)
+    lines = log.read_text().splitlines()
+    assert lines[1].startswith("0,otc_issued,staff,ok,")
+    if change == "extra-columns":
+        lines[1] += ",EXTRA,MORE"
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    log.write_text("\n".join(lines) + "\n")
+
+    assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: malformed event row (")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 # -------------------------------------------------------------------------
 # unwritable output paths
 # -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ operation, successful or failed.
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import inspect
 import itertools
@@ -315,6 +316,82 @@ def test_later_cascade_extends_quarantine():
     assert reg.devices[a].status.quarantine == Quarantine(3, 13)  # untouched
 
 
+# (operation, a, b): enrol a device, device a meets device b, device a reports
+# infected, or the clock moves on a % 3 days; a = 7 jumps 2**63 - 3 days, so
+# windows also end past, and start past, the int64 day columns' limit
+mask_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["enrol", "meet", "report", "advance"]),
+        st.integers(0, 7), st.integers(0, 7),
+    ),
+    max_size=40,
+)
+
+
+def mask_probe_days(reg: Registry) -> list[int]:
+    """Day 0, today, and the days around each window's bounds that the mask answers."""
+    days = {0, reg.clock.current_day}
+    for record in reg.devices.values():
+        window = record.status.quarantine
+        if window is not None:
+            days |= {window.start_day - 1, window.start_day, window.end_day - 1, window.end_day}
+    return sorted(day for day in days if 0 <= day < 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quarantine_days=st.sampled_from([0, 1, 3, 10, 2**63]), ops=mask_ops)
+def test_quarantine_mask_matches_each_record(quarantine_days, ops):
+    reg = make_registry(policy=RegistryPolicy(quarantine_days=quarantine_days), log_events=False)
+    people: list = []
+    for op, a, b in ops:
+        if op == "enrol" or not people:
+            people.append(enroll(reg, str(len(people))))
+        elif op == "meet":
+            left, right = people[a % len(people)], people[b % len(people)]
+            if left != right:
+                reg.record_encounter(left, right, 2.0)
+        elif op == "report":
+            device = people[a % len(people)]
+            if reg.devices[device].status.stage is Stage.SUSCEPTIBLE:
+                reg.update_status(reg.issue_otc(CRED).code, device, Stage.INFECTED)
+        else:
+            reg.advance_clock(SimClock(reg.clock.current_day + (2**63 - 3 if a == 7 else a % 3)))
+        for day in mask_probe_days(reg):
+            mask = reg.quarantine_mask(day)
+            assert mask.dtype == bool
+            assert mask.tolist() == [rec.status.is_quarantined(day) for rec in reg.devices.values()]
+
+
+def test_quarantine_mask_follows_an_extended_window_and_later_registrations():
+    reg, a, b, c, d = cascade_registry()
+    reg.advance_clock(SimClock(2))
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
+    reg.record_encounter(d, b, 2.0)
+    reg.advance_clock(SimClock(4))
+    reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED)
+    late = enroll(reg, "late")
+    assert list(reg.devices) == [a, b, c, d, late]
+    assert reg.quarantine_mask(2).tolist() == [False] * 5
+    # b's window [3, 13) was replaced by [5, 15) when d's report traced it again
+    assert reg.quarantine_mask(3).tolist() == [True, False, True, False, False]
+    assert reg.quarantine_mask(5).tolist() == [True, True, True, True, False]
+    assert reg.quarantine_mask(13).tolist() == [False, True, False, True, False]
+    assert reg.quarantine_mask(15).tolist() == [False] * 5
+
+
+@pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64])
+def test_quarantine_mask_rejects_a_day_it_cannot_answer(day):
+    reg = make_registry()
+    enroll(reg, "a")
+    with pytest.raises(ValidationError, match="must be an integer"):
+        reg.quarantine_mask(day)
+
+
+def test_quarantine_mask_of_an_empty_registry_is_empty():
+    mask = make_registry().quarantine_mask(np.int64(4))
+    assert mask.dtype == bool and mask.shape == (0,)
+
+
 def test_same_day_renotification_suppressed():
     reg = make_registry()
     a, b, c, d = (enroll(reg, t) for t in "abcd")
@@ -466,6 +543,19 @@ def test_replay_rejects_a_summed_duration_past_the_float_range():
         match=f"^event {len(events)}: cannot replay 'encounter_recorded' .*summed contact duration",
     ):
         Registry.replay(events, [CRED])
+
+
+def test_booking_fresh_pairs_adds_at_most_one_tracked_object_per_device():
+    # a booked pair is a slot index into two float columns, so the only
+    # containers the collector tracks are each device's day store
+    reg = make_registry(log_events=False)
+    people = [enroll(reg, str(i)) for i in range(400)]
+    pairs = list(itertools.islice(itertools.combinations(people, 2), 20_000))
+    gc.collect()
+    before = len(gc.get_objects())
+    for left, right in pairs:
+        reg.record_encounter(left, right, 2.0)
+    assert len(gc.get_objects()) - before <= len(people)
 
 
 def test_contact_list_requires_registration():
@@ -789,7 +879,8 @@ def reference_digest(reg: Registry) -> str:
 graph_encounters = st.lists(
     st.tuples(
         st.integers(0, 12), st.integers(0, 4), st.integers(0, 4), st.floats(0.1, 10.0),
-        st.integers(0, 600) | st.floats(0.0, 600.0), st.booleans(),
+        st.integers(0, 600) | st.floats(0.0, 600.0) | st.sampled_from([-0.0, 5e-324]),
+        st.booleans(),
     ).filter(lambda e: e[1] != e[2]),
     max_size=40,
 ).map(sorted)
@@ -816,6 +907,21 @@ def test_graph_writer_and_digest_match_their_references(
     write_contact_graph(reg.contact_graph, tmp / "graph.csv")
     assert (tmp / "graph.csv").read_bytes() == reference_graph_bytes(reg.contact_graph, tmp / "ref.csv")
     assert reg.state_digest() == reference_digest(reg)
+    # every stored float is the one booked, bit for bit: -0.0 and subnormals too
+    booked: dict = {}
+    for day, left, right, distance, duration, twice in encounters:
+        for _ in range(1 + twice):
+            for key in ((left, day, right), (right, day, left)):
+                if key in booked:
+                    closest, total = booked[key]
+                    booked[key] = (min(closest, float(distance)), total + float(duration))
+                else:
+                    booked[key] = (float(distance), float(duration))
+    stored = {
+        (people.index(owner), r.day, people.index(r.peer)): (repr(r.distance), repr(r.duration))
+        for owner in people for r in reg.contact_list(owner).records
+    }
+    assert stored == {key: tuple(map(repr, value)) for key, value in booked.items()}
 
     records: dict = {device: [] for device in people}
     for day, left, right, distance, duration, twice in encounters:
@@ -892,6 +998,18 @@ def test_logged_encounters_share_their_device_s_hex_text():
     assert first.actor == a.hex
     assert first.actor is second.actor
     assert first.details["peer"] is third.details["peer"]
+
+
+def test_logged_scan_neighbours_share_their_device_s_hex_text():
+    reg = make_registry()
+    scanner, b = enroll(reg, "s"), enroll(reg, "b")
+    ghost = hash_identifier("ghost")
+    reg.scan_handshake(scanner, [(b, 2.0), (scanner, 3.0), (ghost, 4.0)])
+    (scan,) = (e for e in reg.events if e.operation == "scan")
+    (b_text, _), (scanner_text, _), (ghost_text, _) = scan.details["neighbors"]
+    assert b_text is reg._hexes[reg._handle[b.digest]]
+    assert scanner_text is reg._hexes[reg._handle[scanner.digest]] is scan.actor
+    assert ghost_text == ghost.hex
 
 
 def test_read_event_log_shares_repeated_text(tmp_path):

@@ -363,6 +363,13 @@ def test_app_arm_matches_the_reference_model(config):
     assert [(q.start_day, q.end_day) if q else None for q in windows] == want_windows
 
 
+def test_build_world_registers_agent_i_as_the_registry_s_ith_device():
+    # the isolation mask is read in registration order as agent order
+    world = build_world(SimConfig(population=50, seed=3))
+    assert world.registry is not None
+    assert list(world.registry.devices) == world.devices
+
+
 def test_baseline_arm_has_no_registry():
     world = build_world(SimConfig(population=50, app_enabled=False))
     assert world.registry is None
