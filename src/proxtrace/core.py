@@ -14,6 +14,7 @@ import csv
 import hashlib
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -29,6 +30,9 @@ DIGEST_BYTES = 16
 DEFAULT_BLUETOOTH_RANGE_M = 10.0
 DEFAULT_QUARANTINE_DAYS = 10
 CONTACT_WINDOW_DAYS = 2
+
+# `x <= _FLOAT_MAX` fails for an int too large for a float, where `x < math.inf` holds.
+_FLOAT_MAX = sys.float_info.max
 
 
 # =========================================================================

@@ -5,8 +5,8 @@ mutations are serialized through its methods, so the rest of the package
 can treat it as the one source of truth.  Staff-facing operations are
 gated by single-use codes (OTCs): a code authorizes exactly one
 successful registration or status update and is consumed atomically with
-that operation.  Failed operations leave the code fresh, except that
-presenting an already-consumed code is itself the failure.
+that operation.  Each operation makes every check before its first write,
+so a failed one changes nothing, its code included, and logs one row.
 
 The registry keeps an append-only event log.  Replaying a log into a
 fresh registry reproduces the final state bit-exactly (state_digest is
@@ -51,6 +51,7 @@ from .core import (
     Quarantine,
     SimClock,
     Stage,
+    _FLOAT_MAX,
     _unreadable_text_is_invalid,
     hash_identifier,
     hex_interner,
@@ -142,9 +143,9 @@ class RegistryPolicy:
                 "contact_window_days",
                 isinstance(self.contact_window_days, Integral) and self.contact_window_days >= 0,
             ),
-            ("bluetooth_range_m", 0 < self.bluetooth_range_m < math.inf),
-            ("min_contact_duration_s", 0 <= self.min_contact_duration_s < math.inf),
-            ("encounter_duration_s", 0 <= self.encounter_duration_s < math.inf),
+            ("bluetooth_range_m", 0 < self.bluetooth_range_m <= _FLOAT_MAX),
+            ("min_contact_duration_s", 0 <= self.min_contact_duration_s <= _FLOAT_MAX),
+            ("encounter_duration_s", 0 <= self.encounter_duration_s <= _FLOAT_MAX),
         ]
         for name, ok in checks:
             if not ok:
@@ -291,18 +292,14 @@ class Registry:
         if self._log_events:
             self.events.append(Event(self.clock.current_day, operation, actor, outcome, details))
 
-    def _fail(self, operation: str, actor: str, error: Exception, **details: object) -> Exception:
-        self._log(operation, actor, type(error).__name__, **details)
-        return error
+    def _fail(self, operation: str, actor: str, error: ProxTraceError) -> None:
+        self._log(operation, actor, type(error).__name__)
 
-    def _resolve(self, operation: str, device: DeviceId, noun: str = "device") -> int:
-        """The device's handle; an unregistered device is logged and rejected."""
+    def _resolve(self, device: DeviceId, noun: str = "device") -> int:
+        """The device's handle; an unregistered device raises UnknownDeviceError."""
         handle = self._handle.get(device.digest)
         if handle is None:
-            raise self._fail(
-                operation, device.hex,
-                UnknownDeviceError(f"{noun} {device.hex} is not registered"),
-            )
+            raise UnknownDeviceError(f"{noun} {device.hex} is not registered")
         return handle
 
     def _emit(
@@ -331,10 +328,7 @@ class Registry:
         return _RegistryView(self, self._contact_list, self._sorted_contact_rows)
 
     def contact_list(self, device: DeviceId) -> ContactList:
-        handle = self._handle.get(device.digest)
-        if handle is None:
-            raise UnknownDeviceError(f"device {device.hex} is not registered")
-        return self._contact_list(handle)
+        return self._contact_list(self._resolve(device))
 
     def _contact_list(
         self, owner: int, by_day: Mapping[int, Mapping[int, int]] | None = None
@@ -386,8 +380,12 @@ class Registry:
 
     def issue_otc(self, staff_credential: str) -> Otc:
         """Mint a fresh single-use code; staff credential required."""
-        if staff_credential not in self._staff:
-            raise self._fail("otc_issued", "staff", AuthorizationError("credential not accepted"))
+        try:
+            if staff_credential not in self._staff:
+                raise AuthorizationError("credential not accepted")
+        except ProxTraceError as exc:
+            self._fail("otc_issued", "staff", exc)
+            raise
         code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
         while code in self.otcs:  # collision chance ~2**-128, but be exact
             code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
@@ -395,12 +393,12 @@ class Registry:
         self._log("otc_issued", "staff", "ok", code=code)
         return otc
 
-    def _checked_otc(self, code: str, operation: str, actor: str) -> Otc:
+    def _checked_otc(self, code: str) -> Otc:
         otc = self.otcs.get(code)
         if otc is None:
-            raise self._fail(operation, actor, InvalidOtcError("code was never issued"))
+            raise InvalidOtcError("code was never issued")
         if otc.consumed:
-            raise self._fail(operation, actor, OtcReplayError("code already consumed"))
+            raise OtcReplayError("code already consumed")
         return otc
 
     # ------------------------------------------------------------------
@@ -417,12 +415,15 @@ class Registry:
         return self._register(otc_code, hash_identifier(device_raw_id), initial_stage)
 
     def _register(self, otc_code: str, device: DeviceId, stage: Stage) -> DeviceRecord:
-        otc = self._checked_otc(otc_code, "user_registered", device.hex)
-        if device.digest in self._handle:
-            raise self._fail(
-                "user_registered", device.hex,
-                AlreadyRegisteredError(f"device {device.hex} is already registered"),
-            )
+        try:
+            otc = self._checked_otc(otc_code)
+            if device.digest in self._handle:
+                raise AlreadyRegisteredError(f"device {device.hex} is already registered")
+            if not isinstance(stage, Stage):
+                raise ValidationError(f"initial stage {stage!r} is not a Stage")
+        except ProxTraceError as exc:
+            self._fail("user_registered", device.hex, exc)
+            raise
         otc.consumed = True
         record = DeviceRecord(
             device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
@@ -458,13 +459,13 @@ class Registry:
         Returns the notifications actually emitted (duplicates for the same
         recipient, kind, and day are suppressed).
         """
-        handle = self._resolve("status_updated", device)
-        actor = self._hexes[handle]
-        otc = self._checked_otc(otc_code, "status_updated", actor)
         try:
+            handle = self._resolve(device)
+            otc = self._checked_otc(otc_code)
             status = self._records[handle].status.with_stage(new_stage)
-        except ValidationError as exc:
-            raise self._fail("status_updated", actor, exc)
+        except ProxTraceError as exc:
+            self._fail("status_updated", device.hex, exc)
+            raise
         otc.consumed = True
         day = self.clock.current_day
         self._set_status(handle, status)
@@ -475,7 +476,9 @@ class Registry:
             for contact in self._traced_set(handle):
                 self._quarantine(self._handle[contact.digest], day)
                 notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
-        self._log("status_updated", actor, "ok", code=otc_code, status=new_stage.value)
+        self._log(
+            "status_updated", self._hexes[handle], "ok", code=otc_code, status=new_stage.value
+        )
         return [note for note in notes if note is not None]
 
     def _traced_set(self, index: int) -> tuple[DeviceId, ...]:
@@ -544,35 +547,29 @@ class Registry:
         duration: float | None = None,
     ) -> None:
         """Log one mutual encounter; both endpoints get mirror records."""
-        left_handle = self._handle.get(left.digest)
-        right_handle = self._handle.get(right.digest)
-        if left_handle is None or right_handle is None:
-            raise self._fail(
-                "encounter_recorded", left.hex,
-                UnknownDeviceError("both encounter endpoints must be registered"),
-            )
-        if left_handle == right_handle:
-            raise self._fail(
-                "encounter_recorded", left.hex, ValidationError("device cannot meet itself")
-            )
-        if not 0 < distance <= self.policy.bluetooth_range_m:
-            raise self._fail(
-                "encounter_recorded", left.hex,
-                ValidationError(
-                    f"distance {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
-                ),
-            )
-        distance = float(distance)
-        dur = self.policy.encounter_duration_s if duration is None else float(duration)
-        if not 0 <= dur < math.inf:
-            raise self._fail(
-                "encounter_recorded", left.hex,
-                ValidationError("duration must be non-negative and finite"),
-            )
         try:
+            left_handle = self._handle.get(left.digest)
+            right_handle = self._handle.get(right.digest)
+            if left_handle is None or right_handle is None:
+                raise UnknownDeviceError("both encounter endpoints must be registered")
+            if left_handle == right_handle:
+                raise ValidationError("device cannot meet itself")
+            if not 0 < distance <= self.policy.bluetooth_range_m:
+                raise ValidationError(
+                    f"distance {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
+                )
+            distance = float(distance)
+            if duration is None:
+                dur = self.policy.encounter_duration_s
+            elif 0 <= duration <= _FLOAT_MAX:
+                dur = float(duration)
+            else:
+                raise ValidationError("duration must be non-negative and finite")
+            # The last check: _book books nothing if the summed duration overflows.
             self._book(left_handle, right_handle, self.clock.current_day, distance, dur)
-        except ValidationError as exc:
-            raise self._fail("encounter_recorded", left.hex, exc)
+        except ProxTraceError as exc:
+            self._fail("encounter_recorded", left.hex, exc)
+            raise
         if self._log_events:
             self._log(
                 "encounter_recorded", self._hexes[left_handle], "ok",
@@ -624,58 +621,49 @@ class Registry:
         a null class (the documented no-data outcome).  The scanner learns
         only the classified area risk, never any neighbor's status.
         """
-        own = self._resolve("scan", scanner, "scanner")
-        actor = self._hexes[own]
-        if len(weights) < len(Category):
-            raise self._fail(
-                "scan", actor,
-                ValidationError(
-                    f"a scan needs {len(Category)} category weights, got {len(weights)}"
-                ),
-            )
-        # Logged text for each neighbour: the hex column's for a registered one.
-        hexes = self._hexes
-        logged = []
-        registered = []
-        for peer, distance in neighbors:
-            if not 0 < distance <= self.policy.bluetooth_range_m:
-                raise self._fail(
-                    "scan", actor,
-                    ValidationError(
-                        f"neighbor at {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
-                    ),
-                )
-            handle = self._handle.get(peer.digest)
-            logged.append([peer.hex if handle is None else hexes[handle], distance])
-            if handle is not None and handle != own:
-                registered.append((handle, float(distance)))
-        day = self.clock.current_day
-        duration = self.policy.encounter_duration_s
-        # Every sum the bookings below make is checked before the first one.
-        booked = self._contacts[own].get(day, {})
-        durations = self._total_duration
-        sums = {
-            handle: durations[booked[handle]] if handle in booked else 0.0
-            for handle, _ in registered
-        }
         try:
+            own = self._resolve(scanner, "scanner")
+            if len(weights) < len(Category):
+                raise ValidationError(
+                    f"a scan needs {len(Category)} category weights, got {len(weights)}"
+                )
+            # Logged text for each neighbour: the hex column's for a registered one.
+            hexes = self._hexes
+            logged = []
+            registered = []
+            for peer, distance in neighbors:
+                if not 0 < distance <= self.policy.bluetooth_range_m:
+                    raise ValidationError(
+                        f"neighbor at {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
+                    )
+                handle = self._handle.get(peer.digest)
+                logged.append([peer.hex if handle is None else hexes[handle], distance])
+                if handle is not None and handle != own:
+                    registered.append((handle, float(distance)))
+            day = self.clock.current_day
+            duration = self.policy.encounter_duration_s
+            # Every sum the bookings below make is checked before the first one.
+            booked = self._contacts[own].get(day, {})
+            durations = self._total_duration
+            sums = {h: durations[booked[h]] if h in booked else 0.0 for h, _ in registered}
             for handle, _ in registered:
                 sums[handle] = _summed_duration(sums[handle], duration)
-        except ValidationError as exc:
-            raise self._fail("scan", actor, exc)
+            distances = [distance for _, distance in registered]
+            if registered:
+                # Scored as if every neighbour were infected: no weight tops the first and
+                # rounding is monotone, so this bounds the score the bookings below lead to.
+                score_from_arrays([0] * len(distances), distances, weights)
+        except ProxTraceError as exc:
+            self._fail("scan", scanner.hex, exc)
+            raise
         for handle, distance in registered:
             self._book(own, handle, day, distance, duration)
         risk_class = note = None
         if registered:
             categories = [self._categorize(handle, day) for handle, _ in registered]
-            distances = [distance for _, distance in registered]
             risk_class = classify(score_from_arrays(categories, distances, weights))
             note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
-        self._log(
-            "scan", actor, "ok",
-            neighbors=logged,
-            weights=list(weights.weights),
-        )
+        self._log("scan", hexes[own], "ok", neighbors=logged, weights=list(weights.weights))
         return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
 
     def _categorize(self, handle: int, day: int) -> int:
@@ -713,7 +701,11 @@ class Registry:
         contact window and emits contact-at-risk if any windowed contact is
         currently infected.
         """
-        handle = self._resolve("status_check", device)
+        try:
+            handle = self._resolve(device)
+        except ProxTraceError as exc:
+            self._fail("status_check", device.hex, exc)
+            raise
         day = self.clock.current_day
         stage = self._records[handle].status.stage
         previous = self._last_checked[handle]
@@ -802,7 +794,7 @@ class Registry:
             if event.outcome == "ok":
                 try:
                     registry._replay_one(event, parse_id)
-                except (KeyError, ValueError, TypeError, ProxTraceError) as exc:
+                except (KeyError, ValueError, TypeError, ArithmeticError, ProxTraceError) as exc:
                     raise ValidationError(
                         f"event {position}: cannot replay {event.operation!r} "
                         f"({type(exc).__name__}: {exc})"

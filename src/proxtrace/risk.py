@@ -33,7 +33,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .core import _pool_map
+from .core import _FLOAT_MAX, _pool_map
 from .errors import NoObservationsError, ScoreRangeError, ValidationError
 
 # Distances are drawn at least this far from the scanner: a reporting
@@ -60,7 +60,7 @@ class WeightConfig:
         if len(self.weights) < 1:
             raise ValidationError("at least one category weight is required")
         for w in self.weights:
-            if not 0 < w < math.inf:
+            if not 0 < w <= _FLOAT_MAX:
                 raise ValidationError("category weights must be finite and strictly positive")
         for hi, lo in zip(self.weights, self.weights[1:]):
             if not hi > lo:
@@ -151,7 +151,7 @@ def assess_area(
     the radius is not finite and positive or a distance lies outside
     (0, radius].
     """
-    if not 0 < radius < math.inf:
+    if not 0 < radius <= _FLOAT_MAX:
         raise ValidationError(f"area radius must be finite and strictly positive, got {radius}")
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
@@ -278,7 +278,7 @@ def _mean_scores(
         raise ValidationError("placement repeats must be at least 1")
     if placement not in ("uniform", "equal"):
         raise ValidationError(f"unknown placement policy {placement!r}")
-    if not MIN_PLACEMENT_DISTANCE_M <= radius < math.inf:
+    if not MIN_PLACEMENT_DISTANCE_M <= radius <= _FLOAT_MAX:
         raise ValidationError(
             f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
         )

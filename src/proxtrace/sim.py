@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import DeviceId, SimClock, Stage, _pool_map, hash_identifier
+from .core import _FLOAT_MAX, DeviceId, SimClock, Stage, _pool_map, hash_identifier
 from .errors import ValidationError
 from .protocol import Registry, RegistryPolicy
 
@@ -92,8 +92,8 @@ class SimConfig:
             ("initial_infected", 0 <= self.initial_infected <= self.population),
             # the kd-tree sums squared coordinate differences: they must stay finite
             ("arena_side", self.arena_side is None
-             or 0 < self.arena_side and 2 * self.arena_side * self.arena_side < math.inf),
-            ("bluetooth_range", 0 < self.bluetooth_range < math.inf),
+             or 0 < self.arena_side and 2 * self.arena_side * self.arena_side <= _FLOAT_MAX),
+            ("bluetooth_range", 0 < self.bluetooth_range <= _FLOAT_MAX),
             ("infection_radius", 0 < self.infection_radius <= self.bluetooth_range),
             ("infection_probability", 0.0 <= self.infection_probability <= 1.0),
             ("symptom_onset_delay", self.symptom_onset_delay >= 0),
@@ -101,7 +101,7 @@ class SimConfig:
             ("quarantine_days", self.quarantine_days >= 0),
             ("infectious_period", self.infectious_period >= 1),
             ("max_days", 1 <= self.max_days <= _MAX_DAYS),
-            ("encounter_duration_s", 0 <= self.encounter_duration_s < math.inf),
+            ("encounter_duration_s", 0 <= self.encounter_duration_s <= _FLOAT_MAX),
             ("seed", self.seed >= 0),
         ]
         for name, ok in checks:

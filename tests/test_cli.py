@@ -608,11 +608,15 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
         (6, 1, {"duration": float("nan")}, "ValidationError: duration must be non-negative"),
         (7, 1, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
         (6, 0, {}, "(dated day 0, but the log has reached day 1)"),
+        (6, 1, {"distance": 10**400}, "OverflowError: int too large to convert to float"),
+        (6, 1, {"duration": 10**400}, "OverflowError: int too large to convert to float"),
+        (7, 1, {"neighbors": [[device("a").hex, 10**400]]}, "OverflowError: int too large"),
+        (7, 1, {"weights": [10**400, 0.2, 0.09, 0.01]}, "OverflowError: int too large"),
     ],
     ids=[
         "duplicate-registration", "reused-code", "reissued-code", "far-encounter",
         "negative-distance", "nan-distance", "negative-duration", "nan-duration", "short-weights",
-        "backdated-encounter",
+        "backdated-encounter", "huge-distance", "huge-duration", "huge-scan-distance", "huge-weight",
     ],
 )
 def test_replay_broken_precondition_exits_one(tmp_path, capsys, copied, day, changes, cause):

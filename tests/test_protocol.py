@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -1073,6 +1073,9 @@ def test_writing_the_registry_graph_builds_no_contact_value(tmp_path, value_buil
         ("encounter_duration_s", -5.0),
         ("encounter_duration_s", float("inf")),
         ("encounter_duration_s", float("nan")),
+        pytest.param("bluetooth_range_m", 10**400, id="bluetooth_range_m-10**400"),
+        pytest.param("min_contact_duration_s", 10**400, id="min_contact_duration_s-10**400"),
+        pytest.param("encounter_duration_s", 10**400, id="encounter_duration_s-10**400"),
     ],
 )
 def test_policy_validation_names_the_field(field, value):
@@ -1485,6 +1488,107 @@ class RegistryMachine(RuleBasedStateMachine):
 
 TestRegistryMachine = RegistryMachine.TestCase
 TestRegistryMachine.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
+
+
+# -------------------------------------------------------------------------
+# one failure point per operation
+# -------------------------------------------------------------------------
+
+HUGE = 10**400  # an int too large for any float
+OVERFLOWING_WEIGHTS = WeightConfig((1e308, 1.0, 0.5, 0.1))
+
+people = st.integers(0, 4)  # an index into POOL
+code_picks = st.integers(0, 7)  # an index into the codes so far, the never-issued one first
+registry_calls = st.one_of(
+    st.tuples(st.just("issue"), st.sampled_from([CRED, "forged"])),
+    # person None registers the empty raw id
+    st.tuples(
+        st.just("register"), code_picks, people | st.none(), st.sampled_from([*Stage, "infected"])
+    ),
+    st.tuples(st.just("update"), code_picks, people, st.sampled_from(Stage)),
+    st.tuples(
+        st.just("encounter"), people, people, distances | st.just(HUGE),
+        st.sampled_from([None, 0.0, 30.0, 1e308, -5.0, math.inf, math.nan, HUGE]),
+    ),
+    st.tuples(
+        st.just("scan"), people,
+        st.lists(st.tuples(people, distances | st.just(HUGE)), max_size=4),
+        weight_sets | st.just(OVERFLOWING_WEIGHTS),
+    ),
+    st.tuples(st.just("check"), people),
+    st.tuples(st.just("advance"), st.integers(0, 2)),
+)
+policy_fields = st.fixed_dictionaries({}, optional={
+    "bluetooth_range_m": st.sampled_from([5.0, 10.0, HUGE]),
+    "min_contact_duration_s": st.sampled_from([0.0, 60.0, HUGE]),
+    "encounter_duration_s": st.sampled_from([0.0, 60.0, 1e308, HUGE]),
+})
+
+
+POOL_IDS = [hash_identifier(raw) for raw in POOL]
+
+
+def apply_call(reg: Registry, codes: list[str], call: tuple) -> None:
+    kind, *args = call
+    if kind == "issue":
+        codes.append(reg.issue_otc(args[0]).code)
+    elif kind == "register":
+        code, person, stage = args
+        reg.register_user(codes[code % len(codes)], "" if person is None else POOL[person], stage)
+    elif kind == "update":
+        code, person, stage = args
+        reg.update_status(codes[code % len(codes)], POOL_IDS[person], stage)
+    elif kind == "encounter":
+        left, right, distance, duration = args
+        reg.record_encounter(POOL_IDS[left], POOL_IDS[right], distance, duration)
+    elif kind == "scan":
+        scanner, neighbors, weights = args
+        reg.scan_handshake(POOL_IDS[scanner], [(POOL_IDS[p], d) for p, d in neighbors], weights)
+    else:
+        reg.status_checker_tick(POOL_IDS[args[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy_fields, st.lists(registry_calls, max_size=15))
+# a score past the float range, found after both contacts were booked
+@example({}, [("scan", 0, [(1, 10.0), (2, 9.0)], OVERFLOWING_WEIGHTS)])
+# a duration float() cannot convert
+@example({}, [("encounter", 0, 1, 2.0, HUGE)])
+# a policy duration too large for the float columns
+@example({"encounter_duration_s": HUGE}, [("scan", 0, [(1, 2.0)], DEFAULT_WEIGHTS)])
+# an initial stage that is not a Stage, found after the device was registered
+@example({}, [("issue", CRED), ("register", 4, 3, "infected")])
+def test_a_call_either_fails_untouched_or_succeeds_with_one_row(fields, calls):
+    if HUGE in fields.values():
+        with pytest.raises(ValidationError, match="invalid value for policy field"):
+            RegistryPolicy(**fields)
+        return
+    reg = Registry([CRED], seed=1, policy=RegistryPolicy(**fields))
+    codes = [UNKNOWN]
+    for raw in POOL[:3]:  # the last two start unregistered
+        codes.append(reg.issue_otc(CRED).code)
+        reg.register_user(codes[-1], raw)
+    for call in calls:
+        if call[0] == "advance":
+            reg.advance_clock(SimClock(reg.clock.current_day + call[1]))
+            continue
+        digest, logged = reg.state_digest(), len(reg.events)
+        try:
+            apply_call(reg, codes, call)
+        except ProxTraceError as exc:
+            assert reg.state_digest() == digest
+            if call[0] == "register" and call[2] is None:
+                # The one exception: hash_identifier refuses an empty raw id
+                # before the registry is reached, so nothing is logged.
+                assert len(reg.events) == logged
+            else:
+                assert len(reg.events) == logged + 1
+                assert reg.events[-1].outcome == type(exc).__name__
+        else:
+            assert len(reg.events) == logged + 1
+            assert reg.events[-1].outcome == "ok"
+    replayed = Registry.replay(reg.events, [CRED], policy=reg.policy)
+    assert replayed.state_digest() == reg.state_digest()
 
 
 # -------------------------------------------------------------------------

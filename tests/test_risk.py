@@ -101,7 +101,7 @@ def test_observation_validation():
             assess_area([0], [distance])
     with pytest.raises(ValidationError, match="radius"):
         assess_area([0], [4.0], radius=3.0)
-    for radius in (0.0, -1.0, float("nan"), float("inf")):
+    for radius in (0.0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValidationError, match="radius"):
             assess_area([0], [1.0], radius=radius)
     with pytest.raises(ValidationError):
@@ -126,7 +126,9 @@ def test_weight_config_validation():
         WeightConfig(())
 
 
-@pytest.mark.parametrize("weights", [(math.inf, 1.0), (math.inf,), (1e308, math.inf)])
+@pytest.mark.parametrize(
+    "weights", [(math.inf, 1.0), (math.inf,), (1e308, math.inf), (10**400, 1.0)]
+)
 def test_weight_config_rejects_an_infinite_weight(weights):
     # an infinite weight made every score inf/inf: NaN, or silently 0.0
     with pytest.raises(ValidationError, match="finite and strictly positive"):
@@ -333,7 +335,9 @@ def test_curve_requires_matching_weights():
         risk_curve(3, 3, DEFAULT_WEIGHTS)  # 4 weights, k=3
 
 
-@pytest.mark.parametrize("bad", [{"placement": "bogus"}, {"seed": -1}, {"repeats": 0}])
+@pytest.mark.parametrize(
+    "bad", [{"placement": "bogus"}, {"seed": -1}, {"repeats": 0}, {"radius": 10**400}]
+)
 def test_generators_check_placement_arguments_before_scoring(bad):
     # n = 0 has only the empty cell, which scores 0 without any placement
     with pytest.raises(ValidationError):

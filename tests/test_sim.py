@@ -109,6 +109,23 @@ def test_config_rejects_an_arena_whose_squared_side_overflows():
     assert run(SimConfig(population=4, max_days=2, arena_side=9e153))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bluetooth_range", 10**400),
+        ("encounter_duration_s", 10**400),
+        ("arena_side", 10**400),
+        ("arena_side", 10**200),  # a float can hold it, but not twice its square
+    ],
+    ids=["bluetooth-range", "encounter-duration", "arena-side", "arena-side-squared"],
+)
+def test_config_rejects_an_int_no_float_can_hold(field, value):
+    # 0 < 10**400 < math.inf holds, so these passed, and run() then ended in
+    # an OverflowError (or, for the squared side, the kd-tree's ValueError)
+    with pytest.raises(ValidationError, match=f"invalid value for config field '{field}'"):
+        SimConfig(**{field: value})
+
+
 def test_a_detection_lag_past_the_engine_s_int32_days_never_comes_due():
     # infection_day + lag used to overflow the int32 day column
     config = SimConfig(population=40, max_days=6, infection_probability=1.0, seed=2)
