@@ -462,6 +462,8 @@ class Registry:
         try:
             handle = self._resolve(device)
             otc = self._checked_otc(otc_code)
+            if not isinstance(new_stage, Stage):
+                raise ValidationError(f"new stage {new_stage!r} is not a Stage")
             status = self._records[handle].status.with_stage(new_stage)
         except ProxTraceError as exc:
             self._fail("status_updated", device.hex, exc)
@@ -846,6 +848,28 @@ class Registry:
 
 # One encoder for every event: json.dumps with these options builds a new one per call.
 _DETAILS_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCOUNTER_KEYS = frozenset(("distance", "duration", "peer"))
+
+
+def _details_json(operation: str, details: Mapping[str, object]) -> str:
+    """The details column: the text _DETAILS_JSON gives for `details`.
+
+    Most rows of a registry's log are encounters, so those are written with
+    one f-string, but only where the encoder's text is known to be the same:
+    JSON writes an exact finite float as its repr, and escapes nothing in
+    ASCII alphanumeric text.  Every other row goes through the encoder.
+    """
+    if operation == "encounter_recorded" and details.keys() == _ENCOUNTER_KEYS:
+        distance = details["distance"]
+        duration = details["duration"]
+        peer = details["peer"]
+        if (
+            type(distance) is float and math.isfinite(distance)
+            and type(duration) is float and math.isfinite(duration)
+            and type(peer) is str and peer.isascii() and peer.isalnum()
+        ):
+            return f'{{"distance":{distance!r},"duration":{duration!r},"peer":"{peer}"}}'
+    return _DETAILS_JSON.encode(dict(details))
 
 
 def write_event_log(events: Sequence[Event], path: str | Path) -> None:
@@ -855,7 +879,7 @@ def write_event_log(events: Sequence[Event], path: str | Path) -> None:
         writer.writerows(
             (
                 event.day, event.operation, event.actor, event.outcome,
-                _DETAILS_JSON.encode(dict(event.details)),
+                _details_json(event.operation, event.details),
             )
             for event in events
         )

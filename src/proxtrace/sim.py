@@ -13,6 +13,9 @@ identity it concerns (positions by (seed, day, agent); infection events by
 (seed, day, pair)).  Runs with and without the app therefore share one
 event stream (common random numbers), and no amount of re-ordering or
 parallelism changes an outcome.
+
+scipy is imported inside `step` only, so a command that never simulates
+(risk, curve, surface, trace, replay) does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import _FLOAT_MAX, DeviceId, SimClock, Stage, _pool_map, hash_identifier
 from .errors import ValidationError
@@ -246,6 +248,10 @@ def step(world: WorldState) -> tuple[WorldState, DayStats]:
     free_idx = np.flatnonzero(free)
     new_targets = np.empty(0, dtype=np.int64)
     if free_idx.size >= 2:
+        # Imported here, not at module level: scipy is most of the package's
+        # import time and memory, and no command but simulate needs it.
+        from scipy.spatial import cKDTree
+
         radius = cfg.bluetooth_range if registry is not None else cfg.infection_radius
         tree = cKDTree(world.positions[free_idx])
         local_pairs = tree.query_pairs(r=radius, output_type="ndarray")

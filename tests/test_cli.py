@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -940,6 +941,47 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
     assert main(["bogus-command"]) == 1
     assert main(["curve", "--n", "3"]) == 1  # --out is required
     assert "error:" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: argv is the tiny graph, its index case, a tiny
+# event log and an output directory; prints whether scipy is loaded after
+# each step as one JSON object.
+_SCIPY_PROBE = """
+import json, sys
+from proxtrace import cli
+graph, case, log, out = sys.argv[1:]
+loaded = {"import": "scipy" in sys.modules}
+steps = {
+    "curve": ["curve", "--n", "2", "--k", "4", "--out", out + "/curve.csv"],
+    "trace": ["trace", "--graph", graph, "--case", case, "--day", "5", "--out", out + "/traced.txt"],
+    "replay": ["replay", "--log", log, "--credential", "clinic", "--out", out + "/digest.txt"],
+    "simulate": ["simulate", "--population", "20", "--days", "2", "--out", out + "/sim.csv"],
+}
+for name, argv in steps.items():
+    assert cli.main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_simulate_loads_scipy(tmp_path):
+    # The test process has loaded scipy already, so the probe needs its own.
+    _, graph, case = trace_fixture(tmp_path)
+    reg = Registry(["clinic"], seed=3)
+    ids = [reg.register_user(reg.issue_otc("clinic").code, f"probe-{t}").device for t in "ab"]
+    reg.record_encounter(ids[0], ids[1], 2.0)
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events, log)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(graph), case.hex, str(log), str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False, "curve": False, "trace": False, "replay": False, "simulate": True,
+    }
 
 
 def test_console_script_is_installed():

@@ -42,12 +42,14 @@ from proxtrace.errors import (
     ValidationError,
 )
 from proxtrace.protocol import (
+    _DETAILS_JSON,
     _DIGEST_CHUNK_LINES,
     EVENT_LOG_HEADER,
     NotificationKind,
     Registry,
     RegistryPolicy,
     ScanResult,
+    _details_json,
     read_event_log,
     write_event_log,
 )
@@ -1012,6 +1014,53 @@ def test_logged_scan_neighbours_share_their_device_s_hex_text():
     assert ghost_text == ghost.hex
 
 
+class _ReprFloat(float):
+    """A float whose repr is not JSON's text for it."""
+
+    def __repr__(self) -> str:
+        return "not-json"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1]
+)
+_detail_values = st.one_of(
+    _finite,
+    _finite.map(_ReprFloat),
+    st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_peer_texts = st.one_of(
+    st.text("0123456789abcdef", min_size=1),
+    st.text(),
+    st.sampled_from(["", "é1", "a\"b", "a b", "Ａ1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["encounter_recorded", "scan", "status_updated"]),
+    st.fixed_dictionaries(
+        {"distance": _detail_values, "duration": _detail_values, "peer": _peer_texts}
+    ),
+    st.sets(st.sampled_from(["distance", "duration", "peer"]), max_size=1),
+    st.dictionaries(st.sampled_from(["code", "Peer", "status"]), _detail_values, max_size=1),
+)
+@example("encounter_recorded", {"distance": -0.0, "duration": 5e-324, "peer": "ab01"}, set(), {})
+@example("encounter_recorded", {"distance": 1e308, "duration": 300.0, "peer": "é1"}, set(), {})
+@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": 'a"b'}, set(), {})
+@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": "a\nb"}, set(), {})
+@example("encounter_recorded", {"distance": _ReprFloat(1), "duration": 2.0, "peer": "ab"}, set(), {})
+@example("encounter_recorded", {"distance": 1.0, "duration": math.nan, "peer": "ab"}, set(), {})
+@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": "ab"}, set(), {"code": 1})
+def test_event_details_text_matches_the_json_encoder(operation, details, dropped, extra):
+    # Whichever path a row takes, its text is the encoder's.
+    for key in dropped:
+        del details[key]
+    details.update(extra)
+    assert _details_json(operation, details) == _DETAILS_JSON.encode(dict(details))
+
+
 def test_read_event_log_shares_repeated_text(tmp_path):
     reg = busy_registry()
     path = tmp_path / "events.csv"
@@ -1505,7 +1554,7 @@ registry_calls = st.one_of(
     st.tuples(
         st.just("register"), code_picks, people | st.none(), st.sampled_from([*Stage, "infected"])
     ),
-    st.tuples(st.just("update"), code_picks, people, st.sampled_from(Stage)),
+    st.tuples(st.just("update"), code_picks, people, st.sampled_from([*Stage, "infected"])),
     st.tuples(
         st.just("encounter"), people, people, distances | st.just(HUGE),
         st.sampled_from([None, 0.0, 30.0, 1e308, -5.0, math.inf, math.nan, HUGE]),
@@ -1558,6 +1607,8 @@ def apply_call(reg: Registry, codes: list[str], call: tuple) -> None:
 @example({"encounter_duration_s": HUGE}, [("scan", 0, [(1, 2.0)], DEFAULT_WEIGHTS)])
 # an initial stage that is not a Stage, found after the device was registered
 @example({}, [("issue", CRED), ("register", 4, 3, "infected")])
+# a new stage that is not a Stage, for a registered device and a fresh code
+@example({}, [("issue", CRED), ("update", 4, 0, "infected")])
 def test_a_call_either_fails_untouched_or_succeeds_with_one_row(fields, calls):
     if HUGE in fields.values():
         with pytest.raises(ValidationError, match="invalid value for policy field"):
