@@ -258,6 +258,46 @@ class SurfaceCell:
     mean_score: float
 
 
+# A sweep keeps every cell's key, counts and result as Python objects and
+# builds one keyed generator (about 23 us) per cell: a curve of 10**5 cells
+# took 6 s and 41 MB, so a million cells, about 100 times the largest sweep
+# run here, is already a minute and 400 MB.
+_MAX_SWEEP_CELLS = 10**6
+# One cell's (repeats, total) draws are scored in one piece, beside their
+# copy in the batch array and their product with the weights: 2**24 draws is
+# 128 MiB an array, and 1600 times the 10 000 draws of a surface's largest cell.
+_MAX_CELL_DRAWS = 2**24
+# Cells of one total are scored this many draws at a time, so numpy's
+# per-call cost is paid once a batch, not once a cell.  Measured on the
+# n=20, k=4 curve: 2**12 batches two cells and gains little, 2**15 gains
+# about a quarter with a 256 KiB batch, and 2**16 gains no more but adds
+# 1 MB to peak memory.
+_BATCH_DRAWS = 2**15
+
+
+def _check_sweep(
+    cells: int, largest_total: int, radius: float, placement: str, repeats: int, seed: int
+) -> None:
+    """Reject a sweep's placement arguments, and a sweep of more cells or more
+    draws a cell than the caps, before any cell is enumerated or drawn."""
+    if repeats < 1:
+        raise ValidationError("placement repeats must be at least 1")
+    if placement not in ("uniform", "equal"):
+        raise ValidationError(f"unknown placement policy {placement!r}")
+    if not MIN_PLACEMENT_DISTANCE_M <= radius <= _FLOAT_MAX:
+        raise ValidationError(
+            f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
+        )
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if cells > _MAX_SWEEP_CELLS:
+        raise ValidationError(f"a sweep of {cells} cells is over the cap of {_MAX_SWEEP_CELLS}")
+    if repeats * largest_total > _MAX_CELL_DRAWS:
+        raise ValidationError(
+            f"a cell of {repeats} x {largest_total} draws is over the cap of {_MAX_CELL_DRAWS}"
+        )
+
+
 @_in_float_range()
 def _mean_scores(
     weights: WeightConfig,
@@ -270,40 +310,45 @@ def _mean_scores(
 ) -> list[float]:
     """Mean score over `repeats` placements of each (rng key, counts) cell.
 
-    A cell's distances come from the RNG keyed on (seed, *key), so a cell
-    scores the same in any chunk: with jobs > 1 the cells are split into
-    `jobs` chunks, each scored by this function in a worker process.
+    A cell's distances come from its own RNG, keyed on (seed, *key), so a
+    cell scores the same in any chunk and any batch: with jobs > 1 the cells
+    are split into `jobs` chunks, each scored by this function in a worker
+    process.  Cells of one size (total count) are scored together in
+    batches of at most _BATCH_DRAWS draws, one numpy pass a batch; building
+    each cell's keyed generator is then what bounds the sweep's time.  Each
+    (cell, repeat) row is still reduced alone along the last axis, so every
+    mean equals the one the cell would get scored by itself.
     """
-    if repeats < 1:
-        raise ValidationError("placement repeats must be at least 1")
-    if placement not in ("uniform", "equal"):
-        raise ValidationError(f"unknown placement policy {placement!r}")
-    if not MIN_PLACEMENT_DISTANCE_M <= radius <= _FLOAT_MAX:
-        raise ValidationError(
-            f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
-        )
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
     if jobs > 1 and len(cells) >= 64:  # below that a pool costs more than it saves
         size = -(-len(cells) // jobs)
         chunks = [cells[start : start + size] for start in range(0, len(cells), size)]
         score = partial(_mean_scores, weights, radius, placement, repeats, seed, 1)
         return [mean for chunk in _pool_map(score, chunks, jobs) for mean in chunk]
     w = np.asarray(weights.weights, dtype=float)
-    means = []
-    for key, counts in cells:
-        total = sum(counts)
-        if total == 0:
-            # Empty area: reported as zero risk by convention so curves and
-            # surfaces stay total over the whole enumeration.
-            means.append(0.0)
-            continue
-        if placement == "equal":
-            d = np.full((repeats, total), radius / 2.0)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-            d = rng.uniform(MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total))
-        means.append(float(_score(np.repeat(w, counts), d, weights).mean()))
+    # Empty area: reported as zero risk by convention so curves and surfaces
+    # stay total over the whole enumeration.
+    means = [0.0] * len(cells)
+    by_total: dict[int, list[int]] = {}
+    for i, (_, counts) in enumerate(cells):
+        if total := sum(counts):
+            by_total.setdefault(total, []).append(i)
+    for total, members in by_total.items():
+        size = max(1, _BATCH_DRAWS // (repeats * total))
+        for start in range(0, len(members), size):
+            batch = members[start : start + size]
+            counts = [c for i in batch for c in cells[i][1]]
+            rows = np.repeat(np.tile(w, len(batch)), counts).reshape(len(batch), 1, total)
+            if placement == "equal":
+                d = np.full((len(batch), repeats, total), radius / 2.0)
+            else:
+                d = np.empty((len(batch), repeats, total))
+                for row, i in enumerate(batch):
+                    key = np.random.SeedSequence(entropy=seed, spawn_key=cells[i][0])
+                    d[row] = np.random.default_rng(key).uniform(
+                        MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total)
+                    )
+            for i, mean in zip(batch, _score(rows, d, weights).mean(axis=-1).tolist()):
+                means[i] = mean
     return means
 
 
@@ -326,7 +371,7 @@ def risk_curve(
     """
     if len(weights) != k:
         raise ValidationError(f"need exactly {k} weights, got {len(weights)}")
-    _check_counts(n, k)
+    _check_sweep(count_distributions(n, k), n, radius, placement, repeats, seed)
     cells = [((index,), counts) for index, counts in enumerate(_descending_vectors(n, k), 1)]
     means = _mean_scores(weights, radius, placement, repeats, seed, jobs, cells)
     return [CurvePoint(key[0], counts, mean) for (key, counts), mean in zip(cells, means)]
@@ -352,6 +397,7 @@ def risk_surface(
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:
         raise ValidationError("surface generation needs at least two categories")
+    _check_sweep((n_max + 1) * (n_max + 2) // 2, n_max, radius, placement, repeats, seed)
     empty = (0,) * (len(weights) - 2)
     cells = [
         ((n_a, n_b), (n_a, n_b) + empty)

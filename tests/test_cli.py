@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxtrace import core
+from proxtrace import core, risk
 from proxtrace.cli import _build_parser, _load_sim_config, main
 from proxtrace.core import (
     ContactRecord,
@@ -767,7 +767,8 @@ EDGE_NUMBERS = [
     "5e-324", HUGE, "-" + HUGE, "x", "",
 ]
 # Sizes (--n, --n-max, --repeats, --population, --days, --replicates) stay
-# tiny: a huge size is a valid request for a huge amount of work.
+# tiny or go past the caps: a huge size below them is a valid request for a
+# huge amount of work.
 SIZES = ["0", "-1", "1", "2", "3", "nan", "inf", "1.5", "x", ""]
 HOSTILE_WEIGHTS = [
     "inf,1", "1,inf", "nan,1", "0.7,0.2,0.09,0.01", "0.5,0.25", "1", "1,0", "-1,-2", "",
@@ -855,6 +856,9 @@ sizes = st.sampled_from(["1", "2", "3"]) | st.sampled_from(SIZES)
 # size below them would be a valid request for a huge world.
 populations = sizes | st.sampled_from([str(2**32), HUGE])
 days = sizes | st.sampled_from([str(2**31), HUGE])
+# Past the sweep caps for every k and every total of at least one.
+cell_sizes = sizes | st.sampled_from([str(risk._MAX_SWEEP_CELLS), HUGE])
+repeats = sizes | st.sampled_from([str(risk._MAX_CELL_DRAWS + 1), str(10**15), HUGE])
 jobs = st.sampled_from(["-1", "0", "1", "2"])
 scoring = {"--weights": st.sampled_from(HOSTILE_WEIGHTS), "--radius": numbers}
 placing = {
@@ -864,9 +868,10 @@ placing = {
 HOSTILE_CASES = st.one_of(
     _case("risk", {"--observations": _path("observations")}, scoring,
           observations=OBSERVATION_LINES),
-    _case("curve", {"--n": sizes, "--repeats": sizes, "--out": _path("out")},
+    _case("curve", {"--n": cell_sizes, "--repeats": repeats, "--out": _path("out")},
           {**placing, "--k": st.sampled_from(["0", "-1", "1", "2", "4", "5", HUGE, "nan"])}),
-    _case("surface", {"--n-max": sizes, "--repeats": sizes, "--out": _path("out")}, placing),
+    _case("surface", {"--n-max": cell_sizes, "--repeats": repeats, "--out": _path("out")},
+          placing),
     _case("trace",
           {"--graph": _path("graph"), "--case": st.sampled_from([A, B.upper(), "zz", ""]),
            "--day": numbers},
@@ -879,6 +884,7 @@ HOSTILE_CASES = st.one_of(
           {"--credential": st.sampled_from(["replay", ""]), "--out": _path("out")},
           log=LOG_LINES),
 )
+ONE_CATEGORY = ["--n", "1", "--k", "1", "--weights", "1"]
 SMALL_SIM = [
     "simulate", "--population", "3", "--days", "3", "--out", "{out}", "--config", "{config}",
 ]
@@ -892,6 +898,16 @@ SMALL_SIM = [
 @example((["curve", "--n", "3", "--radius", "1e308", "--out", "{out}"], {})).via(
     "a radius whose distance sums overflow"
 )
+@example((["curve", *ONE_CATEGORY, "--repeats", str(10**15), "--out", "{out}"], {})).via(
+    "repeats whose draws would take petabytes"
+)
+@example((["curve", *ONE_CATEGORY, "--repeats", HUGE, "--out", "{out}"], {})).via(
+    "repeats past numpy's largest dimension"
+)
+@example((["curve", "--n", HUGE, "--k", "1", "--weights", "1", "--out", "{out}"], {})).via(
+    "a curve of endless cells"
+)
+@example((["surface", "--n-max", HUGE, "--out", "{out}"], {})).via("a surface of endless cells")
 @example((["replay", "--log", "{log}"], {"log": DEEP_EVENT.encode()})).via(
     "event details nested past the recursion limit"
 )

@@ -9,12 +9,14 @@ import itertools
 import math
 import random
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxtrace import risk
 from proxtrace.core import Category
 from proxtrace.errors import NoObservationsError, ScoreRangeError, ValidationError
 from proxtrace.risk import (
@@ -344,6 +346,86 @@ def test_generators_check_placement_arguments_before_scoring(bad):
         risk_curve(0, 4, **bad)
     with pytest.raises(ValidationError):
         risk_surface(0, **bad)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: risk_curve(risk._MAX_SWEEP_CELLS, 1, WeightConfig((1.0,))),
+        lambda: risk_curve(10**30, 4),
+        lambda: risk_surface(10**30),
+        lambda: risk_curve(1, 1, WeightConfig((1.0,)), repeats=10**15),
+        lambda: risk_surface(2, repeats=risk._MAX_CELL_DRAWS // 2 + 1),
+    ],
+    ids=["curve-cells", "curve-huge-n", "surface-huge-n-max", "curve-draws", "surface-draws"],
+)
+def test_sweeps_past_the_size_caps_are_rejected_before_enumerating(sweep):
+    # these allocated petabytes, overflowed numpy's dimension limit or
+    # enumerated without end
+    with pytest.raises(ValidationError, match="over the cap of"):
+        sweep()
+
+
+def reference_mean_scores(weights, radius, placement, repeats, seed, cells):
+    """The per-cell loop the batched kernel replaced: each cell scored alone."""
+    w = np.asarray(weights.weights, dtype=float)
+    means = []
+    with risk._in_float_range():
+        for key, counts in cells:
+            total = sum(counts)
+            if total == 0:
+                means.append(0.0)
+                continue
+            if placement == "equal":
+                d = np.full((repeats, total), radius / 2.0)
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+                d = rng.uniform(risk.MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total))
+            means.append(float(risk._score(np.repeat(w, counts), d, weights).mean()))
+    return means
+
+
+weight_configs = st.lists(
+    st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6, unique=True
+).map(lambda ws: WeightConfig(tuple(sorted(ws, reverse=True))))
+
+
+@st.composite
+def sweeps(draw):
+    """Random scoring arguments and a cell list that mixes totals, repeats a
+    total, holds empty cells and one cell too large for a batch."""
+    weights = draw(weight_configs)
+    k = len(weights)
+    repeats = draw(st.integers(1, 40))
+    counts = st.lists(st.integers(0, 4), min_size=k, max_size=k).map(tuple)
+    cells = draw(st.lists(counts, min_size=1, max_size=30))
+    cells += [cells[0], (0,) * k]
+    big = risk._BATCH_DRAWS // repeats + 1
+    low = draw(st.integers(0, big if k > 1 else 0))
+    cells.insert(draw(st.integers(0, len(cells))), (big - low, *(0,) * (k - 2), low)[:k])
+    keys = draw(st.lists(st.tuples(st.integers(0, 50)), min_size=len(cells), max_size=len(cells)))
+    radius = draw(st.floats(min_value=risk.MIN_PLACEMENT_DISTANCE_M, max_value=1e3))
+    placement = draw(st.sampled_from(["uniform", "equal"]))
+    seed = draw(st.integers(0, 2**64))
+    return weights, radius, placement, repeats, seed, list(zip(keys, cells))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+def test_batched_means_equal_the_per_cell_loop(sweep):
+    weights, radius, placement, repeats, seed, cells = sweep
+    batched = risk._mean_scores(weights, radius, placement, repeats, seed, 1, cells)
+    assert batched == reference_mean_scores(weights, radius, placement, repeats, seed, cells)
+
+
+def test_batched_and_per_cell_scoring_both_reject_an_overflow():
+    args = (WeightConfig((1e308, 1.0)), 1e300, "uniform", 3, 0)
+    cells = [((1,), (1, 0)), ((2,), (2, 1)), ((3,), (0, 0)), ((4,), (1, 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for score in (partial(risk._mean_scores, *args, 1), partial(reference_mean_scores, *args)):
+            with pytest.raises(ValidationError, match="risk score leaves the float range"):
+                score(cells)
 
 
 def test_downward_mass_shifts_never_increase_score_at_equal_distance():
