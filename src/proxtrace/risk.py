@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -212,7 +213,14 @@ def _descending_vectors(remaining: int, slots: int) -> Iterator[tuple[int, ...]]
             yield (x,) + rest
 
 
+def _check_integers(**arguments: object) -> None:
+    for name, value in arguments.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_counts(n: int, k: int) -> None:
+    _check_integers(n=n, k=k)
     if n < 0 or k < 1:
         raise ValidationError("need n >= 0 individuals and k >= 1 categories")
 
@@ -258,10 +266,10 @@ class SurfaceCell:
     mean_score: float
 
 
-# A sweep keeps every cell's key, counts and result as Python objects and
-# builds one keyed generator (about 23 us) per cell: a curve of 10**5 cells
-# took 6 s and 41 MB, so a million cells, about 100 times the largest sweep
-# run here, is already a minute and 400 MB.
+# A sweep keeps every cell's key, counts and result as Python objects, and
+# 32 bytes of seed state, and draws each cell's placements apart: a curve of
+# 10**5 cells took about 4 s and 45 MB, so a million cells, about 100 times
+# the largest sweep run here, is already most of a minute and 450 MB.
 _MAX_SWEEP_CELLS = 10**6
 # One cell's (repeats, total) draws are scored in one piece, beside their
 # copy in the batch array and their product with the weights: 2**24 draws is
@@ -280,6 +288,7 @@ def _check_sweep(
 ) -> None:
     """Reject a sweep's placement arguments, and a sweep of more cells or more
     draws a cell than the caps, before any cell is enumerated or drawn."""
+    _check_integers(repeats=repeats, seed=seed)
     if repeats < 1:
         raise ValidationError("placement repeats must be at least 1")
     if placement not in ("uniform", "equal"):
@@ -298,6 +307,79 @@ def _check_sweep(
         )
 
 
+# numpy's SeedSequence hash constants (pool size 4) and PCG64's LCG
+# multiplier, kept as Python ints: a numpy scalar's uint32 overflow is
+# reported through errstate, which _mean_scores sets to raise, while array
+# arithmetic wraps modulo 2**32 as the C code does.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """A hash constant and its successor, for each successive hashmix."""
+    while True:
+        successor = init * mult & _MASK32
+        yield init, successor
+        init = successor
+
+
+def _hashmix(value: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
+    current, successor = next(constants)
+    value = (value ^ current) * successor
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=key).generate_state(4, np.uint64)
+    for every row of keys, a (cells, key length) uint32 array, in one pass.
+
+    This is numpy's documented algorithm run column-wise: the seed's 32-bit
+    words, low word first and padded with zeros to the pool size (a spawn
+    key is present), then one word per key element, go through mix_entropy
+    and generate_state.  Every cell's hash constants are the same, so each
+    step is one numpy operation over all cells.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(len(keys), word, dtype=np.uint32) for word in words] + list(keys.T)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i], constants) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    # uint32 words pair up little-endian into uint64s, low word first
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_state(high: int, low: int, inc_high: int, inc_low: int) -> dict:
+    """The state PCG64 seeds itself to from generate_state(4, np.uint64)'s
+    words (pcg64_set_seed), in the form its `state` setter takes."""
+    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+    state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 @_in_float_range()
 def _mean_scores(
     weights: WeightConfig,
@@ -310,15 +392,23 @@ def _mean_scores(
 ) -> list[float]:
     """Mean score over `repeats` placements of each (rng key, counts) cell.
 
-    A cell's distances come from its own RNG, keyed on (seed, *key), so a
-    cell scores the same in any chunk and any batch: with jobs > 1 the cells
-    are split into `jobs` chunks, each scored by this function in a worker
-    process.  Cells of one size (total count) are scored together in
-    batches of at most _BATCH_DRAWS draws, one numpy pass a batch; building
-    each cell's keyed generator is then what bounds the sweep's time.  Each
-    (cell, repeat) row is still reduced alone along the last axis, so every
-    mean equals the one the cell would get scored by itself.
+    A cell's distances come from its own PCG64 stream, the one
+    default_rng(SeedSequence(entropy=seed, spawn_key=key)) gives, so a cell
+    scores the same in any chunk and any batch: with jobs > 1 the cells are
+    split into `jobs` chunks, each scored by this function in a worker
+    process.  Keys are tuples of one length, each element below 2**32.  The
+    chunk's seed states are computed in one pass up front, and one reused
+    generator is set to each cell's state before it draws.  Cells of one
+    size (total count) are scored together in batches of at most
+    _BATCH_DRAWS draws, one numpy pass a batch; each cell's state setting,
+    draw call and copy into the batch then bound the sweep's time, ahead of
+    the scoring.  Each (cell, repeat) row is still reduced alone along the
+    last axis, so every mean equals the one the cell would get scored by
+    itself.
     """
+    # _check_sweep lets bools and numpy integers through; numpy takes no
+    # bool as an array dimension, and _seed_states splits a Python int
+    repeats, seed = int(repeats), int(seed)
     if jobs > 1 and len(cells) >= 64:  # below that a pool costs more than it saves
         size = -(-len(cells) // jobs)
         chunks = [cells[start : start + size] for start in range(0, len(cells), size)]
@@ -332,6 +422,12 @@ def _mean_scores(
     for i, (_, counts) in enumerate(cells):
         if total := sum(counts):
             by_total.setdefault(total, []).append(i)
+    if placement == "uniform" and by_total:
+        # One pass for the whole chunk: a cell of a large total is a batch
+        # of its own, and seeding each batch apart costs ~100 numpy calls.
+        states = _seed_states(seed, np.array([key for key, _ in cells], dtype=np.uint32))
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
     for total, members in by_total.items():
         size = max(1, _BATCH_DRAWS // (repeats * total))
         for start in range(0, len(members), size):
@@ -342,11 +438,9 @@ def _mean_scores(
                 d = np.full((len(batch), repeats, total), radius / 2.0)
             else:
                 d = np.empty((len(batch), repeats, total))
-                for row, i in enumerate(batch):
-                    key = np.random.SeedSequence(entropy=seed, spawn_key=cells[i][0])
-                    d[row] = np.random.default_rng(key).uniform(
-                        MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total)
-                    )
+                for row, words in enumerate(states[batch].tolist()):
+                    bit_generator.state = _pcg64_state(*words)
+                    d[row] = rng.uniform(MIN_PLACEMENT_DISTANCE_M, radius, size=(repeats, total))
             for i, mean in zip(batch, _score(rows, d, weights).mean(axis=-1).tolist()):
                 means[i] = mean
     return means
@@ -393,6 +487,7 @@ def risk_surface(
     categories stay empty.  Deterministic for a given seed, independent
     of the parallelism degree.
     """
+    _check_integers(n_max=n_max)
     if n_max < 0:
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:

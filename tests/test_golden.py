@@ -10,6 +10,8 @@ contained and every agent is reported and traced.
 
 `curve` and `surface` CSV bytes are pinned too, for both placements and
 non-default weights, radius, repeats and seed, each at --jobs 1 and 2.
+Two seeds span several 32-bit words: 2**64 + 1 is three, padded to the
+four of SeedSequence's pool, and 2**128 + 1 is five, one past the pool.
 Every config has at least 64 cells, so --jobs 2 runs the process pool.
 """
 
@@ -67,12 +69,16 @@ GENERATOR_PINS = {
         "6e8cc98ab39714ee12e8fcd95ba3167ab7164364f767799cccf9cf0e68dc2620",
     "curve --n 8 --k 3 --weights 0.6,0.3,0.1 --radius 7.5 --repeats 7 --seed 5":
         "e7e680ace6439fde31a2f0b00e77ee8e550899737914d67042ac26245f9448c9",
+    "curve --n 8 --k 4 --seed 18446744073709551617":
+        "d07766301eb89acfd9e07587766465a6dcbb8d254661742444dbff76eac446f4",
     "surface --n-max 12":
         "1b7a40e3ee9036a41e713812304549069dfa51fa7a5c4d163995bba707efcecf",
     "surface --n-max 12 --placement equal":
         "10ee4534c5f79f2c7d68acead0ec4e0bc69766a94686f6c45e880e6a705bb21b",
     "surface --n-max 12 --weights 0.5,0.3 --radius 4 --repeats 9 --seed 3":
         "adab4173e62ed779bc4b95e979c6cf86445dd5d997a68afb4acd996f3e0227da",
+    "surface --n-max 12 --seed 340282366920938463463374607431768211457":
+        "92cb8e64968904e608d63351e68d65ff51d536788886cbc31c0e9ba86fb2e925",
 }
 
 

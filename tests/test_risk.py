@@ -292,6 +292,10 @@ def test_enumeration_rejects_bad_args():
         list(enumerate_distributions(2, 0))
     with pytest.raises(ValidationError):
         CategoryDistribution((1, -1))
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        count_distributions(2.5, 2)
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        list(enumerate_distributions(2, 2.5))
 
 
 # -------------------------------------------------------------------------
@@ -338,14 +342,33 @@ def test_curve_requires_matching_weights():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"placement": "bogus"}, {"seed": -1}, {"repeats": 0}, {"radius": 10**400}]
+    "bad",
+    [
+        {"placement": "bogus"},
+        {"seed": -1},
+        {"repeats": 0},
+        {"radius": 10**400},
+        {"seed": 1.5},
+        {"seed": np.float64(3)},
+        {"seed": "3"},
+        {"repeats": 2.5},
+        {"n": 2.5, "n_max": 2.5},
+    ],
 )
 def test_generators_check_placement_arguments_before_scoring(bad):
-    # n = 0 has only the empty cell, which scores 0 without any placement
+    # n = 0 has only the empty cell, which scores 0 without any placement;
+    # "n" is risk_curve's argument and "n_max" risk_surface's
+    others = {name: value for name, value in bad.items() if name not in ("n", "n_max")}
     with pytest.raises(ValidationError):
-        risk_curve(0, 4, **bad)
+        risk_curve(bad.get("n", 0), 4, **others)
     with pytest.raises(ValidationError):
-        risk_surface(0, **bad)
+        risk_surface(bad.get("n_max", 0), **others)
+
+
+def test_generators_accept_bools_and_numpy_integers():
+    curve = risk_curve(np.int64(3), 4, seed=np.uint64(3), repeats=np.int32(5))
+    assert curve == risk_curve(3, 4, seed=3, repeats=5)
+    assert risk_surface(np.int8(4), seed=True, repeats=True) == risk_surface(4, seed=1, repeats=1)
 
 
 @pytest.mark.parametrize(
@@ -403,10 +426,11 @@ def sweeps(draw):
     big = risk._BATCH_DRAWS // repeats + 1
     low = draw(st.integers(0, big if k > 1 else 0))
     cells.insert(draw(st.integers(0, len(cells))), (big - low, *(0,) * (k - 2), low)[:k])
-    keys = draw(st.lists(st.tuples(st.integers(0, 50)), min_size=len(cells), max_size=len(cells)))
+    key = st.tuples(*[st.integers(0, 2**32 - 1)] * draw(st.integers(1, 2)))
+    keys = draw(st.lists(key, min_size=len(cells), max_size=len(cells)))
     radius = draw(st.floats(min_value=risk.MIN_PLACEMENT_DISTANCE_M, max_value=1e3))
     placement = draw(st.sampled_from(["uniform", "equal"]))
-    seed = draw(st.integers(0, 2**64))
+    seed = draw(st.integers(0, 2**200))
     return weights, radius, placement, repeats, seed, list(zip(keys, cells))
 
 
@@ -416,6 +440,25 @@ def test_batched_means_equal_the_per_cell_loop(sweep):
     weights, radius, placement, repeats, seed, cells = sweep
     batched = risk._mean_scores(weights, radius, placement, repeats, seed, 1, cells)
     assert batched == reference_mean_scores(weights, radius, placement, repeats, seed, cells)
+
+
+# A sweep's key elements are a curve index or a surface cell's counts, all
+# at most _MAX_SWEEP_CELLS and so one 32-bit word each, the only key shape
+# _seed_states takes.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128 + 1]) | st.integers(0, 2**200),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2).map(tuple),
+)
+def test_seed_states_give_the_seed_sequence_stream(seed, key):
+    states = risk._seed_states(seed, np.array([key], dtype=np.uint32))
+    expected = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(4, np.uint64)
+    assert states.tolist() == [expected.tolist()]
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = risk._pcg64_state(*states[0].tolist())
+    drawn = np.random.Generator(bit_generator).uniform(0.5, 10.0, size=(3, 5))
+    reference = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    assert drawn.tobytes() == reference.uniform(0.5, 10.0, size=(3, 5)).tobytes()
 
 
 def test_batched_and_per_cell_scoring_both_reject_an_overflow():
