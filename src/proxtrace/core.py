@@ -338,10 +338,17 @@ def _contact_rows(path: str | Path) -> Iterator[tuple[DeviceId, DeviceId, int, f
             if not row or (lineno == 1 and tuple(row) == GRAPH_CSV_HEADER):
                 continue
             try:
-                owner, peer = parse(row[0]), parse(row[1])
-                day, distance, duration = int(row[2]), float(row[3]), float(row[4])
+                owner_text, peer_text, day_text, distance_text, duration_text = row
+            except ValueError:
+                raise ValidationError(
+                    f"line {lineno}: malformed contact row "
+                    f"({len(row)} columns, not {len(GRAPH_CSV_HEADER)})"
+                ) from None
+            try:
+                owner, peer = parse(owner_text), parse(peer_text)
+                day, distance, duration = int(day_text), float(distance_text), float(duration_text)
                 _check_contact(day, distance, duration)
-            except (IndexError, ValueError, ValidationError) as exc:
+            except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"line {lineno}: malformed contact row ({exc})") from exc
             yield owner, peer, day, distance, duration
 

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -166,7 +167,7 @@ class ScanResult:
     neighbors_seen: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One audit-log row."""
 
@@ -849,52 +850,67 @@ class Registry:
 # One encoder for every event: json.dumps with these options builds a new one per call.
 _DETAILS_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _ENCOUNTER_KEYS = frozenset(("distance", "duration", "peer"))
-
-
-def _details_json(operation: str, details: Mapping[str, object]) -> str:
-    """The details column: the text _DETAILS_JSON gives for `details`.
-
-    Most rows of a registry's log are encounters, so those are written with
-    one f-string, but only where the encoder's text is known to be the same:
-    JSON writes an exact finite float as its repr, and escapes nothing in
-    ASCII alphanumeric text.  Every other row goes through the encoder.
-    """
-    if operation == "encounter_recorded" and details.keys() == _ENCOUNTER_KEYS:
-        distance = details["distance"]
-        duration = details["duration"]
-        peer = details["peer"]
-        if (
-            type(distance) is float and math.isfinite(distance)
-            and type(duration) is float and math.isfinite(duration)
-            and type(peer) is str and peer.isascii() and peer.isalnum()
-        ):
-            return f'{{"distance":{distance!r},"duration":{duration!r},"peer":"{peer}"}}'
-    return _DETAILS_JSON.encode(dict(details))
+# An encounter's details text in the one shape write_event_log gives it.  A
+# JSON number with a fraction or an exponent is one json.loads reads as
+# float(text), and ASCII alphanumeric text holds no escape, so a match
+# decodes to the dict json.loads gives.  Compiled by the first read, not at
+# import: only replay reads a log.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_ENCOUNTER_DETAILS = rf'\{{"distance":({_NUMBER}),"duration":({_NUMBER}),"peer":"([0-9A-Za-z]+)"\}}'
 
 
 def write_event_log(events: Sequence[Event], path: str | Path) -> None:
+    """Write the events as CSV rows of EVENT_LOG_HEADER; details are _DETAILS_JSON's text.
+
+    Most rows of a registry's log are encounters, so one whose day is an
+    int, whose actor, outcome and peer hold only ASCII letters and digits and
+    whose numbers are finite floats is written as one pre-quoted line: JSON
+    writes such a float as its repr and escapes nothing in such text, and
+    csv.writer quotes none of those columns, so the line is the bytes
+    csv.writer gives for the encoder's text.  Every other row goes through
+    both.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(EVENT_LOG_HEADER)
-        writer.writerows(
-            (
+        write = handle.write
+        isfinite = math.isfinite
+        for event in events:
+            details = event.details
+            if event.operation == "encounter_recorded" and details.keys() == _ENCOUNTER_KEYS:
+                day, actor, outcome = event.day, event.actor, event.outcome
+                distance, duration, peer = details["distance"], details["duration"], details["peer"]
+                if (
+                    type(day) is int
+                    and type(actor) is type(outcome) is type(peer) is str
+                    and (text := actor + outcome + peer).isascii() and text.isalnum()
+                    and type(distance) is float and isfinite(distance)
+                    and type(duration) is float and isfinite(duration)
+                ):
+                    write(
+                        f'{day},encounter_recorded,{actor},{outcome},"{{""distance"":{distance!r},'
+                        f'""duration"":{duration!r},""peer"":""{peer}""}}"\r\n'
+                    )
+                    continue
+            writer.writerow((
                 event.day, event.operation, event.actor, event.outcome,
-                _details_json(event.operation, event.details),
-            )
-            for event in events
-        )
+                _DETAILS_JSON.encode(dict(details)),
+            ))
 
 
 def read_event_log(path: str | Path) -> list[Event]:
     """The events of a log written by write_event_log, in file order.
 
     A row with more or fewer columns than EVENT_LOG_HEADER is malformed.
-    The operation, actor and outcome columns repeat the same few thousand
-    texts, so each distinct text is kept once per read and shared by every
-    event that carries it.
+    The operation, actor and outcome columns and the encounters' peers
+    repeat the same few thousand texts, so each distinct text is kept once
+    per read and shared by every event that carries it.  Details in
+    _ENCOUNTER_DETAILS's shape are decoded by the pattern, all others by
+    json.loads.
     """
     events: list[Event] = []
     shared = {}.setdefault
+    encounter = re.compile(_ENCOUNTER_DETAILS).fullmatch
     with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
@@ -904,9 +920,18 @@ def read_event_log(path: str | Path) -> list[Event]:
                 if len(row) != len(EVENT_LOG_HEADER):
                     raise ValueError(f"{len(row)} columns, not {len(EVENT_LOG_HEADER)}")
                 day_text, operation, actor, outcome, details = row
+                match = encounter(details)
+                if match is not None:
+                    distance, duration, peer = match.groups()
+                    parsed = {
+                        "distance": float(distance), "duration": float(duration),
+                        "peer": shared(peer, peer),
+                    }
+                else:
+                    parsed = json.loads(details) if details else {}
                 events.append(Event(
                     int(day_text), shared(operation, operation), shared(actor, actor),
-                    shared(outcome, outcome), json.loads(details) if details else {},
+                    shared(outcome, outcome), parsed,
                 ))
             except (ValueError, RecursionError) as exc:  # too deeply nested JSON
                 raise ValidationError(f"line {lineno}: malformed event row ({exc})") from exc

@@ -284,18 +284,20 @@ _BATCH_DRAWS = 2**15
 
 
 def _check_sweep(
-    cells: int, largest_total: int, radius: float, placement: str, repeats: int, seed: int
+    cells: int, largest_total: int, radius: float, placement: str, repeats: int, seed: int,
+    jobs: int,
 ) -> None:
-    """Reject a sweep's placement arguments, and a sweep of more cells or more
-    draws a cell than the caps, before any cell is enumerated or drawn."""
-    _check_integers(repeats=repeats, seed=seed)
+    """Reject a sweep's placement arguments and job count, and a sweep of more
+    cells or more draws a cell than the caps, before any cell is enumerated
+    or drawn."""
+    _check_integers(repeats=repeats, seed=seed, jobs=jobs)
     if repeats < 1:
         raise ValidationError("placement repeats must be at least 1")
     if placement not in ("uniform", "equal"):
         raise ValidationError(f"unknown placement policy {placement!r}")
-    if not MIN_PLACEMENT_DISTANCE_M <= radius <= _FLOAT_MAX:
+    if not (isinstance(radius, numbers.Real) and MIN_PLACEMENT_DISTANCE_M <= radius <= _FLOAT_MAX):
         raise ValidationError(
-            f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius}"
+            f"radius must be finite and at least {MIN_PLACEMENT_DISTANCE_M} m, got {radius!r}"
         )
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
@@ -465,7 +467,7 @@ def risk_curve(
     """
     if len(weights) != k:
         raise ValidationError(f"need exactly {k} weights, got {len(weights)}")
-    _check_sweep(count_distributions(n, k), n, radius, placement, repeats, seed)
+    _check_sweep(count_distributions(n, k), n, radius, placement, repeats, seed, jobs)
     cells = [((index,), counts) for index, counts in enumerate(_descending_vectors(n, k), 1)]
     means = _mean_scores(weights, radius, placement, repeats, seed, jobs, cells)
     return [CurvePoint(key[0], counts, mean) for (key, counts), mean in zip(cells, means)]
@@ -492,7 +494,7 @@ def risk_surface(
         raise ValidationError("n_max must be non-negative")
     if len(weights) < 2:
         raise ValidationError("surface generation needs at least two categories")
-    _check_sweep((n_max + 1) * (n_max + 2) // 2, n_max, radius, placement, repeats, seed)
+    _check_sweep((n_max + 1) * (n_max + 2) // 2, n_max, radius, placement, repeats, seed, jobs)
     empty = (0,) * (len(weights) - 2)
     cells = [
         ((n_a, n_b), (n_a, n_b) + empty)

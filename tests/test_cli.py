@@ -341,6 +341,20 @@ def test_trace_reports_the_first_bad_graph_line(tmp_path):
         assert (rc, out, err) == full_read_trace(path, device("a").hex, 4), n
 
 
+@pytest.mark.parametrize("columns", [6, 4, 1], ids=["extra", "short", "one"])
+def test_a_graph_row_of_other_than_five_columns_is_malformed(tmp_path, columns):
+    # a sixth field was dropped without a word by both readers
+    good = f"{device('a').hex},{device('b').hex},2,1.5,60.0"
+    fields = (good + ",EXTRA").split(",")
+    path = tmp_path / "graph.csv"
+    write_graph_csv(path, [good, ",".join(fields[:columns])])
+    error = f"line 3: malformed contact row ({columns} columns, not 5)"
+    with pytest.raises(ValidationError) as raised:
+        read_contact_graph(path)
+    assert str(raised.value) == error
+    assert run_trace(path, device("a").hex, 4) == (1, [], [f"error: {error}"])
+
+
 def test_trace_reports_a_bad_graph_ahead_of_a_bad_case_or_day(tmp_path):
     rows, bad_line = bad_graph_cases()[-1]
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"

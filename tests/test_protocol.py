@@ -5,15 +5,20 @@ every code should be able to do next; the registry must agree after every
 operation, successful or failed.
 """
 
+import copy
 import csv
 import dataclasses
 import gc
 import hashlib
 import inspect
 import itertools
+import json
 import math
+import pickle
 import random
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from proxtrace import protocol
 from proxtrace.core import (
     ContactList,
     ContactRecord,
@@ -45,11 +51,11 @@ from proxtrace.protocol import (
     _DETAILS_JSON,
     _DIGEST_CHUNK_LINES,
     EVENT_LOG_HEADER,
+    Event,
     NotificationKind,
     Registry,
     RegistryPolicy,
     ScanResult,
-    _details_json,
     read_event_log,
     write_event_log,
 )
@@ -1027,42 +1033,165 @@ _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 _detail_values = st.one_of(
     _finite,
     _finite.map(_ReprFloat),
+    _finite.map(np.float64),
     st.integers(),
+    st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-_peer_texts = st.one_of(
+_log_texts = st.one_of(
     st.text("0123456789abcdef", min_size=1),
     st.text(),
-    st.sampled_from(["", "é1", "a\"b", "a b", "Ａ1"]),
+    st.sampled_from(["", "ok", "é1", "a\"b", "a b", "a,b", "a\r\nb", "Ａ1"]),
+)
+
+
+def _events(values):
+    """Random log events: encounters in and out of the one-line shape, and other rows."""
+    details = st.fixed_dictionaries(
+        {"distance": values, "duration": values, "peer": _log_texts}
+    ) | st.dictionaries(st.sampled_from(["code", "peer", "status"]), values | _log_texts)
+    return st.lists(
+        st.builds(
+            Event,
+            st.integers(0, 10**20),
+            st.sampled_from(["encounter_recorded", "scan", "status_updated"]),
+            _log_texts,
+            _log_texts,
+            details,
+        ),
+        max_size=8,
+    )
+
+
+def _reference_log(events, path):
+    """write_event_log without its one-line encounter path."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(EVENT_LOG_HEADER)
+        for e in events:
+            details = _DETAILS_JSON.encode(dict(e.details))
+            writer.writerow((e.day, e.operation, e.actor, e.outcome, details))
+
+
+_encounter = dict(distance=1.0, duration=2.0, peer="ab")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events(_detail_values))
+@example([Event(0, "encounter_recorded", "ab01", "ok", dict(distance=-0.0, duration=5e-324, peer="cd"))])
+@example([Event(1, "encounter_recorded", "ab", "ok", dict(distance=1e308, duration=1e16, peer="é1"))])
+@example([Event(2, "encounter_recorded", "", "", dict(distance=0.5, duration=2.0, peer=""))])
+@example([Event(3, "encounter_recorded", "a b", "ok", _encounter)])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, peer='a"b'))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, peer="a\nb"))])
+@example([Event(3, "encounter_recorded", "ab", "a,b", _encounter)])
+@example([Event("1,2", "encounter_recorded", "ab", "ok", _encounter)])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, distance=_ReprFloat(1)))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, distance=np.float64(1)))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, duration=math.nan))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, duration=5))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, duration=True))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(_encounter, code=1))])
+@example([Event(3, "encounter_recorded", "ab", "ok", dict(distance=1.0, duration=2.0))])
+@example([Event(True, "encounter_recorded", "ab", "ok", _encounter)])
+def test_event_log_lines_match_the_csv_writer(tmp_path_factory, events):
+    # Whichever path a row takes, its bytes are csv.writer's over the encoder's text.
+    folder = tmp_path_factory.mktemp("log")
+    write_event_log(events, folder / "fast.csv")
+    _reference_log(events, folder / "reference.csv")
+    assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_events(_finite | _finite.map(_ReprFloat) | st.integers() | st.booleans()))
+def test_read_event_log_returns_the_written_events(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("log") / "events.csv"
+    write_event_log(events, path)
+    assert read_event_log(path) == events
+
+
+def _decoded(tmp_path_factory, text):
+    """read_event_log's details for one encounter row whose details column is `text`,
+    and how many times it called json.loads."""
+    path = tmp_path_factory.mktemp("log") / "events.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerow((0, "encounter_recorded", "ab", "ok", text))
+    calls = []
+
+    def loads(text, original=json.loads):
+        calls.append(text)
+        return original(text)
+
+    with mock.patch.object(protocol.json, "loads", loads):
+        (event,) = read_event_log(path)
+    return event.details, len(calls)
+
+
+def _same_dict(got, expected):
+    """Equal values of the same types in the same key order; -0.0 is not 0.0."""
+    assert list(got) == list(expected)
+    assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+    assert repr(got) == repr(expected)
+
+
+_json_numbers = st.from_regex(protocol._NUMBER, fullmatch=True) | st.sampled_from(
+    ["1e400", "-1e400", "-0.0", "5e-324", "1E+5", "0.0e-0", "123456789012345678901234567890.5"]
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(["encounter_recorded", "scan", "status_updated"]),
-    st.fixed_dictionaries(
-        {"distance": _detail_values, "duration": _detail_values, "peer": _peer_texts}
-    ),
-    st.sets(st.sampled_from(["distance", "duration", "peer"]), max_size=1),
-    st.dictionaries(st.sampled_from(["code", "Peer", "status"]), _detail_values, max_size=1),
+@given(_json_numbers, _json_numbers, st.from_regex(r"[0-9A-Za-z]+", fullmatch=True))
+def test_encounter_pattern_decodes_as_json_loads(tmp_path_factory, distance, duration, peer):
+    text = f'{{"distance":{distance},"duration":{duration},"peer":"{peer}"}}'
+    assert re.fullmatch(protocol._ENCOUNTER_DETAILS, text)
+    details, loads_calls = _decoded(tmp_path_factory, text)
+    assert loads_calls == 0
+    _same_dict(details, json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"distance":5,"duration":60.0,"peer":"ab"}',
+        '{"distance":1.5,"duration":-0,"peer":"ab"}',
+        '{"distance":01.5,"duration":60.0,"peer":"ab"}',
+        '{"distance":.5,"duration":60.0,"peer":"ab"}',
+        '{"distance":1.,"duration":60.0,"peer":"ab"}',
+        '{"distance":Infinity,"duration":60.0,"peer":"ab"}',
+        '{"distance":NaN,"duration":60.0,"peer":"ab"}',
+        '{"distance": 1.5,"duration":60.0,"peer":"ab"}',
+        '{"distance":1.5,"duration":60.0,"peer":"ab"} ',
+        '{"distance":1.5,"duration":60.0,"peer":"\\u0061b"}',
+        '{"distance":1.5,"duration":60.0,"peer":"é1"}',
+        '{"distance":1.5,"duration":60.0,"peer":""}',
+        '{"duration":60.0,"distance":1.5,"peer":"ab"}',
+        '{"distance":1.5,"duration":60.0,"peer":"ab","code":"x"}',
+        '{"distance":1.5,"duration":60.0}',
+    ],
+    ids=[
+        "int", "int-zero", "leading-zero", "no-int-part", "no-fraction-digit", "infinity",
+        "nan", "whitespace", "trailing-space", "escaped-peer", "non-ascii-peer", "empty-peer",
+        "reordered", "extra-key", "missing-key",
+    ],
 )
-@example("encounter_recorded", {"distance": -0.0, "duration": 5e-324, "peer": "ab01"}, set(), {})
-@example("encounter_recorded", {"distance": 1e308, "duration": 300.0, "peer": "é1"}, set(), {})
-@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": 'a"b'}, set(), {})
-@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": "a\nb"}, set(), {})
-@example("encounter_recorded", {"distance": _ReprFloat(1), "duration": 2.0, "peer": "ab"}, set(), {})
-@example("encounter_recorded", {"distance": 1.0, "duration": math.nan, "peer": "ab"}, set(), {})
-@example("encounter_recorded", {"distance": 1.0, "duration": 2.0, "peer": "ab"}, set(), {"code": 1})
-def test_event_details_text_matches_the_json_encoder(operation, details, dropped, extra):
-    # Whichever path a row takes, its text is the encoder's.
-    for key in dropped:
-        del details[key]
-    details.update(extra)
-    assert _details_json(operation, details) == _DETAILS_JSON.encode(dict(details))
+def test_encounter_near_misses_fall_back_to_json_loads(tmp_path_factory, text):
+    assert re.fullmatch(protocol._ENCOUNTER_DETAILS, text) is None
+    try:
+        expected = json.loads(text)
+    except ValueError:
+        with pytest.raises(ValidationError, match="line 1: malformed event row"):
+            _decoded(tmp_path_factory, text)
+        return
+    details, loads_calls = _decoded(tmp_path_factory, text)
+    assert loads_calls == 1
+    _same_dict(details, expected)
 
 
 def test_read_event_log_shares_repeated_text(tmp_path):
     reg = busy_registry()
+    people = list(reg.devices)
+    for left, right in itertools.permutations(people[:4], 2):
+        reg.record_encounter(left, right, 2.0)
     path = tmp_path / "events.csv"
     write_event_log(reg.events, path)
     events = read_event_log(path)
@@ -1070,6 +1199,21 @@ def test_read_event_log_shares_repeated_text(tmp_path):
     for field in ("operation", "actor", "outcome"):
         texts = [getattr(event, field) for event in events]
         assert len({id(text) for text in texts}) == len(set(texts))
+    # one str object per distinct device text, whether it is read as an actor or a peer
+    peers = [e.details["peer"] for e in events if e.operation == "encounter_recorded" and e.details]
+    texts = peers + [event.actor for event in events]
+    assert len(set(peers)) == 4
+    assert len({id(text) for text in texts}) == len(set(texts))
+
+
+def test_events_hold_no_instance_dict_and_copy_as_values():
+    event = Event(3, "encounter_recorded", "ab", "ok", dict(_encounter))
+    assert not hasattr(event, "__dict__")
+    assert pickle.loads(pickle.dumps(event)) == event
+    assert copy.deepcopy(event) == event
+    assert dataclasses.replace(event, day=4) == Event(4, *dataclasses.astuple(event)[1:])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.day = 4
 
 
 @pytest.fixture

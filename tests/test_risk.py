@@ -353,22 +353,30 @@ def test_curve_requires_matching_weights():
         {"seed": "3"},
         {"repeats": 2.5},
         {"n": 2.5, "n_max": 2.5},
+        # these three were a bare TypeError or, for 2.5 jobs, accepted
+        {"radius": "5"},
+        {"jobs": "2"},
+        {"jobs": 2.5},
     ],
 )
 def test_generators_check_placement_arguments_before_scoring(bad):
     # n = 0 has only the empty cell, which scores 0 without any placement;
     # "n" is risk_curve's argument and "n_max" risk_surface's
     others = {name: value for name, value in bad.items() if name not in ("n", "n_max")}
-    with pytest.raises(ValidationError):
-        risk_curve(bad.get("n", 0), 4, **others)
-    with pytest.raises(ValidationError):
-        risk_surface(bad.get("n_max", 0), **others)
+    for sweep in (
+        lambda: risk_curve(bad.get("n", 0), 4, **others),
+        lambda: risk_surface(bad.get("n_max", 0), **others),
+    ):
+        with pytest.raises(ValidationError) as error:
+            sweep()
+        assert any(name in str(error.value) for name in bad), error.value
 
 
 def test_generators_accept_bools_and_numpy_integers():
-    curve = risk_curve(np.int64(3), 4, seed=np.uint64(3), repeats=np.int32(5))
+    curve = risk_curve(np.int64(3), 4, seed=np.uint64(3), repeats=np.int32(5), jobs=np.int64(2))
     assert curve == risk_curve(3, 4, seed=3, repeats=5)
-    assert risk_surface(np.int8(4), seed=True, repeats=True) == risk_surface(4, seed=1, repeats=1)
+    surface = risk_surface(np.int8(4), seed=True, repeats=True, jobs=True)
+    assert surface == risk_surface(4, seed=1, repeats=1)
 
 
 @pytest.mark.parametrize(
