@@ -17,13 +17,14 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .core import Category, DeviceId, SimClock, _contact_rows, _pool_map, _unreadable_text_is_invalid
 from .errors import NoObservationsError, ProxTraceError, ValidationError
-from .protocol import Registry, read_event_log
+from .protocol import Registry, _read_events
 from .risk import (
     DEFAULT_AREA_RADIUS_M,
     DEFAULT_PLACEMENT_REPEATS,
@@ -296,8 +297,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    events = read_event_log(args.log)
-    registry = Registry.replay(events, staff_credentials=[args.credential])
+    # Each row is read, replayed and dropped, so the first malformed or
+    # unreplayable row in file order is the one reported.
+    with closing(_read_events(args.log)) as events:
+        registry = Registry._rebuilt(events, [args.credential])
     digest = registry.state_digest()
     print(digest)
     if args.out:

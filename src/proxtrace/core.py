@@ -374,9 +374,11 @@ def _pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
     The pool asks for no more workers than there are tasks or CPUs this
     process may run on (where the OS reports them), since the fork start
-    method starts every worker at the first submit.  With one worker or
-    fewer the tasks run in this process.
+    method starts every worker at the first submit.  With at most one
+    worker the tasks run in this process.  A `jobs` below 1 is rejected.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers > 1 and hasattr(os, "sched_getaffinity"):
         workers = min(workers, len(os.sched_getaffinity(0)))

@@ -768,7 +768,7 @@ class Registry:
     @classmethod
     def replay(
         cls,
-        events: Sequence[Event],
+        events: Iterable[Event],
         staff_credentials: Iterable[str],
         *,
         policy: RegistryPolicy = RegistryPolicy(),
@@ -778,11 +778,28 @@ class Registry:
         Only successful events change state; failed ones are audit-only.
         Each successful event is re-run through the live method that logged
         it, with logging off, so it passes the same precondition checks; the
-        rebuilt registry keeps the log's own events.  Its state_digest
-        matches the live one's.  An event that cannot be applied, or that is
-        dated before the event ahead of it, raises ValidationError naming its
-        position.  Each distinct id text in the log is parsed once.
+        rebuilt registry keeps the log's own events, in a list of its own.
+        Its state_digest matches the live one's.  An event that cannot be
+        applied, or that is dated before the event ahead of it, raises
+        ValidationError naming its position.  Each distinct id text in the
+        log is parsed once.
         """
+        events = list(events)
+        registry = cls._rebuilt(events, staff_credentials, policy)
+        registry.events = events
+        registry._log_events = True
+        return registry
+
+    @classmethod
+    def _rebuilt(
+        cls,
+        events: Iterable[Event],
+        staff_credentials: Iterable[str],
+        policy: RegistryPolicy = RegistryPolicy(),
+    ) -> "Registry":
+        """replay's registry with logging off and no events kept: each event
+        is applied and dropped, so a stream of events is rebuilt in the
+        memory of the state alone."""
         registry = cls(staff_credentials, policy=policy, log_events=False)
         parse_id = hex_interner()
         for position, event in enumerate(events, start=1):
@@ -802,8 +819,6 @@ class Registry:
                         f"event {position}: cannot replay {event.operation!r} "
                         f"({type(exc).__name__}: {exc})"
                     ) from exc
-            registry.events.append(event)
-        registry._log_events = True
         return registry
 
     def _replay_one(self, event: Event, parse_id: Callable[[str], DeviceId]) -> None:
@@ -908,7 +923,13 @@ def read_event_log(path: str | Path) -> list[Event]:
     _ENCOUNTER_DETAILS's shape are decoded by the pattern, all others by
     json.loads.
     """
-    events: list[Event] = []
+    return list(_read_events(path))
+
+
+def _read_events(path: str | Path) -> Iterator[Event]:
+    """read_event_log's events one at a time: a malformed row raises
+    ValidationError when the reader reaches it, after every event ahead of
+    it has been yielded."""
     shared = {}.setdefault
     encounter = re.compile(_ENCOUNTER_DETAILS).fullmatch
     with open(path, newline="") as handle, _unreadable_text_is_invalid(path):
@@ -929,10 +950,10 @@ def read_event_log(path: str | Path) -> list[Event]:
                     }
                 else:
                     parsed = json.loads(details) if details else {}
-                events.append(Event(
+                event = Event(
                     int(day_text), shared(operation, operation), shared(actor, actor),
                     shared(outcome, outcome), parsed,
-                ))
+                )
             except (ValueError, RecursionError) as exc:  # too deeply nested JSON
                 raise ValidationError(f"line {lineno}: malformed event row ({exc})") from exc
-    return events
+            yield event

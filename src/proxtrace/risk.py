@@ -291,6 +291,8 @@ def _check_sweep(
     cells or more draws a cell than the caps, before any cell is enumerated
     or drawn."""
     _check_integers(repeats=repeats, seed=seed, jobs=jobs)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     if repeats < 1:
         raise ValidationError("placement repeats must be at least 1")
     if placement not in ("uniform", "equal"):

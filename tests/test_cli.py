@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -681,6 +682,63 @@ def test_replay_of_an_event_row_with_the_wrong_column_count_exits_one(tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "malformed_first, reported",
+    [(False, "error: event 5: cannot replay 'encounter_recorded'"),
+     (True, "error: line 6: malformed event row (")],
+    ids=["unreplayable-event-first", "malformed-line-first"],
+)
+def test_replay_reports_the_first_fault_in_file_order(tmp_path, capsys, malformed_first, reported):
+    # four good events, then an encounter past the Bluetooth range and a
+    # one-column line in either order; replay reads, applies and drops each
+    # row in turn, so the fault nearer the top of the file is the one named
+    reg = Registry(["clinic"], seed=2)
+    a, b = (reg.register_user(reg.issue_otc("clinic").code, f"cli-user-{t}").device for t in "ab")
+    reg.record_encounter(a, b, 2.0)
+    good = reg.events[:4]
+    far = dataclasses.replace(reg.events[4], details={**reg.events[4].details, "distance": 50.0})
+    log = tmp_path / "events.csv"
+    write_event_log(good + [far], log)
+    lines = log.read_text().splitlines()
+    lines.insert(len(lines) - malformed_first, "garbage")
+    log.write_text("\n".join(lines) + "\n")
+
+    assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(reported)
+    assert captured.out == ""
+
+
+def _same_day_pair_log(path, encounters):
+    """A log of two devices meeting `encounters` times on day 0; the live digest."""
+    reg = Registry(["clinic"], seed=2)
+    a, b = (reg.register_user(reg.issue_otc("clinic").code, f"cli-user-{t}").device for t in "ab")
+    for _ in range(encounters):
+        reg.record_encounter(a, b, 2.0, 1.0)
+    assert len(reg._min_distance) == 1  # one contact slot, however long the log
+    write_event_log(reg.events, path)
+    return reg.state_digest()
+
+
+def test_replay_memory_does_not_grow_with_log_length(tmp_path, capsys):
+    # both logs rebuild the same two devices and one contact slot, so a
+    # replay that drops each row once applied peaks at the same memory for
+    # 20 000 encounter rows as for 2 000; one that holds the rows does not
+    peaks = []
+    for encounters in (2_000, 2_000, 20_000):  # the first replay warms caches
+        log = tmp_path / f"events-{encounters}.csv"
+        live = _same_day_pair_log(log, encounters)
+        tracemalloc.start()
+        try:
+            assert main(["replay", "--log", str(log), "--credential", "clinic"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.strip() == live
+    assert abs(peaks[2] - peaks[1]) < 1_000_000, peaks
+
+
 # -------------------------------------------------------------------------
 # unwritable output paths
 # -------------------------------------------------------------------------
@@ -965,6 +1023,23 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "--n", "2", "--k", "4"], ["surface", "--n-max", "3"],
+     ["simulate", "--population", "50"], ["simulate", "--population", "50", "--arm", "app"]],
+    ids=["curve", "surface", "simulate-both", "simulate-app"],
+)
+def test_a_job_count_below_one_is_one_error_line(tmp_path, capsys, argv, jobs):
+    # each of these ran in one process and exited 0
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: jobs must be at least 1, got {jobs}"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bad_arguments_exit_one(tmp_path, capsys):

@@ -760,6 +760,21 @@ def test_replay_reproduces_state_digest(tmp_path):
     assert len(failures) == 6  # audit trail keeps every rejected operation
 
 
+def test_replay_of_a_one_shot_iterator_keeps_every_event(tmp_path):
+    reg = busy_registry()
+    path = tmp_path / "events.csv"
+    write_event_log(reg.events, path)
+    for events in (iter(reg.events), (event for event in read_event_log(path))):
+        replayed = Registry.replay(events, [CRED], policy=reg.policy)
+        assert replayed.state_digest() == reg.state_digest()
+        assert replayed.events == reg.events
+    # the rebuilt registry logs into a list of its own, not the caller's
+    replayed = Registry.replay(reg.events, [CRED], policy=reg.policy)
+    assert replayed.events is not reg.events
+    replayed.status_checker_tick(next(iter(replayed.devices)))
+    assert len(replayed.events) == len(reg.events) + 1
+
+
 def test_malformed_event_log_line(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("day,operation,actor_digest,outcome,details\nnot-a-day,x,y,ok,{}\n")

@@ -357,6 +357,10 @@ def test_curve_requires_matching_weights():
         {"radius": "5"},
         {"jobs": "2"},
         {"jobs": 2.5},
+        # these three ran in one process
+        {"jobs": 0},
+        {"jobs": -1},
+        {"jobs": -5},
     ],
 )
 def test_generators_check_placement_arguments_before_scoring(bad):

@@ -241,6 +241,14 @@ def test_replicates_use_consecutive_seeds_and_parallel_agrees():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", [0, -1, -5])
+def test_replicate_compare_rejects_a_job_count_below_one(jobs):
+    with mock.patch("proxtrace.sim.compare") as compare:
+        with pytest.raises(ValidationError, match=f"^jobs must be at least 1, got {jobs}$"):
+            replicate_compare(SimConfig(population=20, max_days=2), 2, jobs=jobs)
+    compare.assert_not_called()
+
+
 # -------------------------------------------------------------------------
 # world mechanics
 # -------------------------------------------------------------------------
