@@ -384,6 +384,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ProxTraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError names the size it asked for; a bare one says nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return FAILURE
 
 
 if __name__ == "__main__":

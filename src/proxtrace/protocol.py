@@ -31,6 +31,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import islice
 from numbers import Integral
 from pathlib import Path
@@ -67,7 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig, classify, score_from_arrays
-from .tracing import TRACE_LOOKBACK_DAYS, trace_co_contacts
+from .tracing import trace_co_contacts
 
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
@@ -193,18 +194,23 @@ class _RegistryView(Mapping[DeviceId, _Row]):
 
     Keys are the registered DeviceIds in registration order; anything else,
     including a value that is not a DeviceId, is absent.  `row` turns a
-    device handle into the value, read live on every lookup.  The
-    contact_graph view also carries the registry's sorted contact rows, which
-    write_contact_graph reads instead of building a ContactList per device.
+    device handle into the value, read live on every lookup.  A contact graph
+    view also carries the store's sorted rows and peer reader, which
+    write_contact_graph and trace_co_contacts read instead of ContactLists.
     """
 
     def __init__(
-        self, registry: "Registry", row: Callable[[int], _Row], sorted_rows: Callable | None = None
+        self,
+        registry: "Registry",
+        row: Callable[[int], _Row],
+        sorted_rows: Callable | None = None,
+        peers_on: Callable | None = None,
     ) -> None:
         self._handle = registry._handle
         self._ids = registry._ids
         self._row = row
         self._sorted_rows = sorted_rows
+        self._peers_on = peers_on
 
     def __getitem__(self, device: DeviceId) -> _Row:
         handle = self._handle.get(device.digest) if isinstance(device, DeviceId) else None
@@ -326,28 +332,35 @@ class Registry:
     def contact_graph(self) -> Mapping[DeviceId, ContactList]:
         """Every registered device is present, possibly with an empty list,
         so tracing can tell "no contacts" from "unknown device"."""
-        return _RegistryView(self, self._contact_list, self._sorted_contact_rows)
+        return _RegistryView(self, self._contact_list, self._sorted_contact_rows, self._peers_on)
 
     def contact_list(self, device: DeviceId) -> ContactList:
         return self._contact_list(self._resolve(device))
 
-    def _contact_list(
-        self, owner: int, by_day: Mapping[int, Mapping[int, int]] | None = None
-    ) -> ContactList:
-        """The owner's records as a ContactList; only those in `by_day` when given."""
+    def _contact_list(self, owner: int) -> ContactList:
+        """The owner's records as a ContactList."""
         ids = self._ids
         distances = self._min_distance
         durations = self._total_duration
-        if by_day is None:
-            by_day = self._contacts[owner]
         records = tuple(
             ContactRecord(
                 peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
             )
-            for day, peers in by_day.items()
+            for day, peers in self._contacts[owner].items()
             for peer, slot in peers.items()
         )
         return ContactList(ids[owner], records)
+
+    def _peers_on(self, device: DeviceId, day: int, brief_of: int = -1) -> list[DeviceId]:
+        """The peers a registered device met on `day` in digest order, its
+        ContactList's record order; if its handle is `brief_of`, only those
+        met for at least the policy's min_contact_duration_s."""
+        owner = self._handle[device.digest]
+        peers = self._contacts[owner].get(day, {})
+        if owner == brief_of:
+            least, durations = self.policy.min_contact_duration_s, self._total_duration
+            peers = {peer: slot for peer, slot in peers.items() if durations[slot] >= least}
+        return [self._ids[peer] for peer in sorted(peers, key=self._hexes.__getitem__)]
 
     def _sorted_contact_rows(self) -> Iterator[tuple[str, str, int, float, float]]:
         """Every contact row as (owner_hex, peer_hex, day, distance, duration).
@@ -476,34 +489,16 @@ class Registry:
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
             notes.append(self._emit(device, NotificationKind.STATUS_POSITIVE, day))
-            for contact in self._traced_set(handle):
+            # Brief contacts are dropped from the index case's own records only.
+            brief = partial(self._peers_on, brief_of=handle)
+            graph = _RegistryView(self, self._contact_list, peers_on=brief)
+            for contact in trace_co_contacts(device, graph, self.clock):
                 self._quarantine(self._handle[contact.digest], day)
                 notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
         self._log(
             "status_updated", self._hexes[handle], "ok", code=otc_code, status=new_stage.value
         )
         return [note for note in notes if note is not None]
-
-    def _traced_set(self, index: int) -> tuple[DeviceId, ...]:
-        # The trace reads only the index case's records from the lookback
-        # day and each of those peers' records from today, so it is handed
-        # just that two-hop subgraph.  Brief contacts are dropped from the
-        # index case's own records only.
-        today = self.clock.current_day
-        contacts = self._contacts
-        device = self._ids[index]
-        lookback_day = today - TRACE_LOOKBACK_DAYS
-        met = contacts[index].get(lookback_day, {})
-        min_duration = self.policy.min_contact_duration_s
-        if min_duration > 0:
-            durations = self._total_duration
-            met = {peer: slot for peer, slot in met.items() if durations[slot] >= min_duration}
-        subgraph = {device: self._contact_list(index, {lookback_day: met})}
-        for peer in met:
-            subgraph[self._ids[peer]] = self._contact_list(
-                peer, {today: contacts[peer].get(today, {})}
-            )
-        return trace_co_contacts(device, subgraph, self.clock)
 
     def _quarantine(self, handle: int, day: int) -> None:
         # Isolation takes effect the day after notification and runs for the

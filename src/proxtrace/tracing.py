@@ -5,10 +5,16 @@ the index case met exactly TRACE_LOOKBACK_DAYS ago, plus everyone each
 such peer has met *today*.  The two-day offset targets the contacts made
 right around the index case's likely exposure-to-symptoms gap; the inner
 same-day expansion catches the people those contacts went on to meet.
+
+The rule is stated once, in trace_co_contacts, over one accessor
+`peers_on(device, day)`: the peers a device met that day, in digest order.
+A registry view reads them from its contact store (a cascade's view drops
+the index case's brief contacts), any other mapping from its ContactLists.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -27,36 +33,34 @@ def trace_co_contacts(
 ) -> tuple[DeviceId, ...]:
     """Expand the index case's lookback-day contacts into a notification set.
 
-    For every record of the index case dated exactly TRACE_LOOKBACK_DAYS
-    before the clock, the record's peer and all of that peer's same-day
-    (today) contacts enter the output.  A peer with no contact list of its
-    own still contributes itself.  The index case never appears in its own
-    trace and each device appears at most once, in first-discovery order.
+    For every peer the index case met exactly TRACE_LOOKBACK_DAYS before the
+    clock, in digest order, that peer's same-day (today) contacts and then
+    the peer itself enter the output; a peer with no contact list still
+    contributes itself.  The index case never appears in its own trace and
+    each device appears at most once, in first-discovery order.  A registry
+    view hands over its own peer reader, so no ContactList is built for it.
     """
     if index_case not in graph:
         raise UnknownDeviceError(f"index case {index_case.hex} not present in the contact graph")
+    peers_on = getattr(graph, "_peers_on", None) or partial(_listed_peers, graph)
     today = clock.current_day
-    lookback_day = today - TRACE_LOOKBACK_DAYS
     found: list[DeviceId] = []
     # Keyed on digest bytes, so discovering a device makes no Python-level
     # DeviceId hash or comparison; the index case is seen from the start.
     seen = {index_case.digest}
-
-    def _add(device: DeviceId) -> None:
-        if device.digest not in seen:
-            seen.add(device.digest)
-            found.append(device)
-
-    for rec in graph[index_case].records:
-        if rec.day != lookback_day:
-            continue
-        peer_list = graph.get(rec.peer)
-        if peer_list is not None:
-            for co in peer_list.records:
-                if co.day == today:
-                    _add(co.peer)
-        _add(rec.peer)
+    for peer in peers_on(index_case, today - TRACE_LOOKBACK_DAYS):
+        for device in (*peers_on(peer, today), peer):
+            if device.digest not in seen:
+                seen.add(device.digest)
+                found.append(device)
     return tuple(found)
+
+
+def _listed_peers(
+    graph: Mapping[DeviceId, ContactList], device: DeviceId, day: int
+) -> list[DeviceId]:
+    """The peers of `device`'s records dated `day`, in record (digest) order."""
+    return [rec.peer for rec in graph.get(device, ()) if rec.day == day]
 
 
 def _two_hop_graph(path: str | Path, index_case: DeviceId, today: int) -> dict[DeviceId, ContactList]:

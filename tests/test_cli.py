@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxtrace import core, risk
+from proxtrace import core, risk, sim
 from proxtrace.cli import _build_parser, _load_sim_config, main
 from proxtrace.core import (
     ContactRecord,
@@ -448,6 +448,54 @@ def test_simulate_rejects_negative_seed_and_zero_replicates(tmp_path, capsys, ar
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: invalid value for config field '{flag[2:]}'"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("arm", ["baseline", "app", "both"])
+@pytest.mark.parametrize(
+    "replicates", [sim._MAX_REPLICATES + 1, 10**30 - 1], ids=["past-the-cap", "huge"]
+)
+def test_simulate_refuses_replicates_past_the_cap(tmp_path, capsys, monkeypatch, arm, replicates):
+    # refused before a replica's SimConfig is built, so before any run
+    def no_replica(*args, **kwargs):
+        raise AssertionError("a replica was built")
+
+    monkeypatch.setattr(sim, "replace", no_replica)
+    out = tmp_path / "sim.csv"
+    assert main(SIM_ARGS + ["--arm", arm, "--replicates", str(replicates), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {replicates} replicates are over the cap of {sim._MAX_REPLICATES}"]
+    assert not out.exists()
+
+
+def test_the_replicate_cap_itself_is_accepted():
+    configs = sim._replicas(SimConfig(seed=5), sim._MAX_REPLICATES)
+    assert [c.seed for c in configs] == list(range(5, 5 + sim._MAX_REPLICATES))
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("", "error: out of memory"),
+        # the text of numpy's _ArrayMemoryError, a MemoryError subclass
+        (
+            "Unable to allocate 64.0 GiB for an array with shape (4294967295, 2) "
+            "and data type float64",
+            "error: out of memory: Unable to allocate 64.0 GiB for an array with shape "
+            "(4294967295, 2) and data type float64",
+        ),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message, line):
+    # the allocation is faked: build_world fails as a too-large world would
+    def exhausted(config):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(sim, "build_world", exhausted)
+    out = tmp_path / "sim.csv"
+    assert main(SIM_ARGS + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -931,6 +979,7 @@ days = sizes | st.sampled_from([str(2**31), HUGE])
 # Past the sweep caps for every k and every total of at least one.
 cell_sizes = sizes | st.sampled_from([str(risk._MAX_SWEEP_CELLS), HUGE])
 repeats = sizes | st.sampled_from([str(risk._MAX_CELL_DRAWS + 1), str(10**15), HUGE])
+replicate_counts = sizes | st.sampled_from([str(sim._MAX_REPLICATES + 1), HUGE])
 jobs = st.sampled_from(["-1", "0", "1", "2"])
 scoring = {"--weights": st.sampled_from(HOSTILE_WEIGHTS), "--radius": numbers}
 placing = {
@@ -949,7 +998,7 @@ HOSTILE_CASES = st.one_of(
            "--day": numbers},
           {"--out": _path("out")}, graph=GRAPH_LINES),
     _case("simulate", {"--population": populations, "--days": days, "--out": _path("out")},
-          {"--config": _path("config"), "--seed": numbers, "--replicates": sizes,
+          {"--config": _path("config"), "--seed": numbers, "--replicates": replicate_counts,
            "--arm": st.sampled_from(["baseline", "app", "both", "bogus"]), "--jobs": jobs},
           config=CONFIG_LINES),
     _case("replay", {"--log": _path("log")},
@@ -983,6 +1032,11 @@ SMALL_SIM = [
 @example((["replay", "--log", "{log}"], {"log": DEEP_EVENT.encode()})).via(
     "event details nested past the recursion limit"
 )
+@example((
+    ["simulate", "--population", "2", "--days", "1", "--arm", "baseline", "--replicates", HUGE,
+     "--out", "{out}"],
+    {},
+)).via("replicates without end")
 @example((SMALL_SIM, {"config": f"symptom_onset_delay = {HUGE}\n".encode()})).via(
     "a detection lag past the engine's int32 days"
 )

@@ -1264,6 +1264,26 @@ def test_writing_the_registry_graph_builds_no_contact_value(tmp_path, value_buil
     assert value_builds == {"ContactList": len(people), "ContactRecord": rows}
 
 
+def test_a_cascade_builds_no_contact_value(value_builds):
+    # the trace reads the contact store through the registry's peer reader,
+    # under a policy that drops some of each index case's contacts as brief
+    reg = Registry([CRED], seed=1, policy=RegistryPolicy(min_contact_duration_s=60.0))
+    people = [enroll(reg, str(i)) for i in range(20)]
+    rnd = random.Random(7)
+    traced = 0
+    for day in range(6):
+        reg.advance_clock(SimClock(day))
+        for _ in range(60):
+            left, right = rnd.sample(people, 2)
+            reg.record_encounter(left, right, rnd.uniform(0.5, 9.5), rnd.choice([30.0, 120.0]))
+        if day >= 2:
+            value_builds.update(ContactList=0, ContactRecord=0)
+            notes = reg.update_status(reg.issue_otc(CRED).code, people[day], Stage.INFECTED)
+            assert value_builds == {"ContactList": 0, "ContactRecord": 0}
+            traced += sum(n.kind is NotificationKind.CONTACT_AT_RISK for n in notes)
+    assert traced > 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1328,6 +1348,13 @@ oracle_days = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(oracle_days, st.sampled_from([0.0, 30.0, 60.0, 90.0]))
+@example(
+    # on day 0 the reporter meets 1, 4, 5 and 6 for exactly the minimum and 2
+    # briefly; on day 2 peer 1 meets 3 briefly, and the reporter reports
+    [([(0, 1, 1.0, 60.0), (0, 2, 1.0, 30.0), (0, 4, 1.0, 60.0), (0, 5, 1.0, 60.0),
+       (0, 6, 1.0, 60.0)], None), ([], None), ([(1, 3, 1.0, 30.0)], 0)],
+    60.0,
+)
 def test_cascade_agrees_with_trace_oracle(days, min_duration):
     # every report lands on a fresh day, so nothing is suppressed; the
     # oracle traces the full contact graph minus the reporter's brief contacts
@@ -1342,6 +1369,10 @@ def test_cascade_agrees_with_trace_oracle(days, min_duration):
             continue
         case = people[reporter]
         graph = {dev: reg.contact_graph[dev] for dev in reg.contact_graph}
+        # the public view reads the store and drops nothing, under any policy
+        assert trace_co_contacts(case, reg.contact_graph, reg.clock) == trace_co_contacts(
+            case, graph, reg.clock
+        )
         graph[case] = ContactList(
             case, tuple(r for r in graph[case].records if r.duration >= min_duration)
         )
