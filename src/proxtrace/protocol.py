@@ -258,7 +258,9 @@ class Registry:
         self.events: list[Event] = []
         self._staff = frozenset(staff_credentials)
         self._rng = random.Random(seed)
-        self._notified: set[tuple[bytes, NotificationKind, int]] = set()
+        # (digest, kind value, day) of every notification sent: the kind's
+        # str value hashes in C, an Enum member through Enum.__hash__.
+        self._notified: set[tuple[bytes, str, int]] = set()
         # Dense int handle per registered device digest, in registration
         # order; every per-device column below is indexed by it.
         self._handle: dict[bytes, int] = {}
@@ -316,7 +318,7 @@ class Registry:
         day: int,
         risk_class: RiskClass | None = None,
     ) -> Notification | None:
-        key = (recipient.digest, kind, day)
+        key = (recipient.digest, kind._value_, day)
         if key in self._notified:
             return None
         self._notified.add(key)

@@ -14,8 +14,8 @@ identity it concerns (positions by (seed, day, agent); infection events by
 event stream (common random numbers), and no amount of re-ordering or
 parallelism changes an outcome.
 
-scipy is imported inside `step` only, so a command that never simulates
-(risk, curve, surface, trace, replay) does not load it.
+Each day's pairs come from a uniform grid of cells at least one radius
+wide (`_pairs_within`), in numpy alone.
 """
 
 from __future__ import annotations
@@ -55,6 +55,18 @@ _MAX_DAYS = 2**31 - 1
 # 2000-agent app arm, at about 0.75 s each, are two hours, 500 times the
 # trend gate's 20 seeds.
 _MAX_REPLICATES = 10**4
+
+# The pair search's grid has at most this many cells a side, so every cell
+# key fits in int64 however sparse the points.
+_GRID_CELLS = 2**20
+# Its narrowest cell.  Below about 2**-537, dx*dx underflows to 0, so the
+# keep rule dx*dx + dy*dy <= r*r reaches that far whatever r is; a power of
+# two also divides a tiny coordinate exactly.
+_MIN_CELL = 2.0**-500
+
+# The registry is fed one day's pairs this many at a time, so the Python
+# lists that feed it stay small however many pairs a day has.
+_ENCOUNTER_CHUNK = 4096
 
 # Counts and day numbers: a float here would reach numpy as a size or a lag.
 _INTEGRAL_FIELDS = (
@@ -99,7 +111,7 @@ class SimConfig:
         checks = [
             ("population", 1 <= self.population <= _MAX_POPULATION),
             ("initial_infected", 0 <= self.initial_infected <= self.population),
-            # the kd-tree sums squared coordinate differences: they must stay finite
+            # the pair search sums squared coordinate differences: they must stay finite
             ("arena_side", self.arena_side is None
              or 0 < self.arena_side and 2 * self.arena_side * self.arena_side <= _FLOAT_MAX),
             ("bluetooth_range", 0 < self.bluetooth_range <= _FLOAT_MAX),
@@ -236,6 +248,47 @@ def _isolated(world: WorldState, day: int) -> np.ndarray:
     return world.registry.quarantine_mask(day)
 
 
+def _pairs_within(points: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of rows of `points` (n x 2) at most `r` apart: i, j, distance.
+
+    i < j in each pair, and pair order is unspecified.  A pair is kept when
+    dx*dx + dy*dy <= r*r, cKDTree.query_pairs's rule and arithmetic for p=2,
+    and its distance is hypot(dx, dy).
+
+    Fixed-radius near neighbours on a grid (Bentley, Stanat & Williams,
+    IPL 6(6), 1977).  A cell is wider than r by a relative 2**-20, far more
+    than the rounding of (x - lo) / cell can take off, so a kept pair's cells
+    are at most one apart on either axis.  The points are sorted by cell key
+    (column * rows + row); each point's candidates are then two runs of the
+    sorted order: the rest of its own cell plus the cell above it, and the
+    three cells of the next column.
+    """
+    lo = points.min(axis=0)
+    span = float((points.max(axis=0) - lo).max())
+    cell = max(r * (1 + 2**-20), span / _GRID_CELLS, _MIN_CELL)
+    col, row = np.floor((points - lo) / cell).astype(np.int64).T
+    # One empty row on top, so "the cell above" never wraps into the next column.
+    rows = int(row.max()) + 2
+    key = col * rows + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x = points[order, 0]
+    y = points[order, 1]
+    n = key.size
+    # Candidate runs in sorted positions: n own-cell runs, then n next-column runs.
+    ends = np.searchsorted(key, np.concatenate([key + 2, key + (rows - 1), key + (rows + 2)]))
+    starts = np.concatenate([np.arange(1, n + 1), ends[n:2 * n]])
+    counts = np.concatenate([ends[:n], ends[2 * n:]]) - starts
+    second = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    # A run's first point repeats, which is cheaper than gathering it.
+    dx = np.repeat(np.tile(x, 2), counts) - x[second]
+    dy = np.repeat(np.tile(y, 2), counts) - y[second]
+    kept = np.flatnonzero(dx * dx + dy * dy <= r * r)
+    first = order[np.repeat(np.tile(np.arange(n), 2), counts)[kept]]
+    second = order[second[kept]]
+    return np.minimum(first, second), np.maximum(first, second), np.hypot(dx[kept], dy[kept])
+
+
 def step(world: WorldState) -> tuple[WorldState, DayStats]:
     """Advance one day: move, meet, transmit, detect, recover."""
     cfg = world.config
@@ -255,23 +308,19 @@ def step(world: WorldState) -> tuple[WorldState, DayStats]:
     free_idx = np.flatnonzero(free)
     new_targets = np.empty(0, dtype=np.int64)
     if free_idx.size >= 2:
-        # Imported here, not at module level: scipy is most of the package's
-        # import time and memory, and no command but simulate needs it.
-        from scipy.spatial import cKDTree
-
         radius = cfg.bluetooth_range if registry is not None else cfg.infection_radius
-        tree = cKDTree(world.positions[free_idx])
-        local_pairs = tree.query_pairs(r=radius, output_type="ndarray")
-        if local_pairs.size:
-            ii = free_idx[local_pairs[:, 0]]
-            jj = free_idx[local_pairs[:, 1]]
-            deltas = world.positions[ii] - world.positions[jj]
-            dist = np.hypot(deltas[:, 0], deltas[:, 1])
+        local_i, local_j, dist = _pairs_within(world.positions[free_idx], radius)
+        if dist.size:
+            ii = free_idx[local_i]
+            jj = free_idx[local_j]
 
             if registry is not None:
                 devices = world.devices
-                for a, b, d in zip(ii.tolist(), jj.tolist(), dist.tolist()):
-                    registry.record_encounter(devices[a], devices[b], d)
+                record = registry.record_encounter
+                for start in range(0, dist.size, _ENCOUNTER_CHUNK):
+                    chunk = slice(start, start + _ENCOUNTER_CHUNK)
+                    for a, b, d in zip(ii[chunk].tolist(), jj[chunk].tolist(), dist[chunk].tolist()):
+                        record(devices[a], devices[b], d)
 
             close = dist <= cfg.infection_radius
             stage_i = world.stage[ii]

@@ -1102,14 +1102,19 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: argv is the tiny graph, its index case, a tiny
-# event log and an output directory; prints whether scipy is loaded after
-# each step as one JSON object.
+# Runs in a fresh interpreter with scipy made unimportable: argv is the tiny
+# graph, its index case, a tiny event log and an output directory; prints
+# whether any scipy module is loaded after each step as one JSON object.
 _SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
 from proxtrace import cli
 graph, case, log, out = sys.argv[1:]
-loaded = {"import": "scipy" in sys.modules}
+
+def scipy_loaded():
+    return any(m is not None for name, m in sys.modules.items() if name.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_loaded()}
 steps = {
     "curve": ["curve", "--n", "2", "--k", "4", "--out", out + "/curve.csv"],
     "trace": ["trace", "--graph", graph, "--case", case, "--day", "5", "--out", out + "/traced.txt"],
@@ -1118,13 +1123,15 @@ steps = {
 }
 for name, argv in steps.items():
     assert cli.main(argv) == 0, name
-    loaded[name] = "scipy" in sys.modules
+    loaded[name] = scipy_loaded()
 print(json.dumps(loaded))
 """
 
 
-def test_only_simulate_loads_scipy(tmp_path):
-    # The test process has loaded scipy already, so the probe needs its own.
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test dependency only: every command, simulate's two arms
+    # included, runs without it.  The test process may have loaded scipy
+    # already, so the probe needs its own.
     _, graph, case = trace_fixture(tmp_path)
     reg = Registry(["clinic"], seed=3)
     ids = [reg.register_user(reg.issue_otc("clinic").code, f"probe-{t}").device for t in "ab"]
@@ -1139,8 +1146,9 @@ def test_only_simulate_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {
-        "import": False, "curve": False, "trace": False, "replay": False, "simulate": True,
+        "import": False, "curve": False, "trace": False, "replay": False, "simulate": False,
     }
+    assert (tmp_path / "sim.csv").read_text().count("\n") > 1
 
 
 def test_console_script_is_installed():

@@ -15,6 +15,7 @@ from proxtrace.errors import ValidationError
 from proxtrace.sim import (
     _STAFF_CREDENTIAL,
     _pair_uniforms,
+    _pairs_within,
     CompareResult,
     DayStats,
     SimConfig,
@@ -103,7 +104,8 @@ def test_config_rejects_an_infinite_range_duration_or_arena(field):
 
 
 def test_config_rejects_an_arena_whose_squared_side_overflows():
-    # the kd-tree raised a bare ValueError on a side this large
+    # the pair search's squared coordinate differences would overflow on a
+    # side this large
     with pytest.raises(ValidationError, match="arena_side"):
         SimConfig(arena_side=1e155)
     assert run(SimConfig(population=4, max_days=2, arena_side=9e153))
@@ -121,7 +123,7 @@ def test_config_rejects_an_arena_whose_squared_side_overflows():
 )
 def test_config_rejects_an_int_no_float_can_hold(field, value):
     # 0 < 10**400 < math.inf holds, so these passed, and run() then ended in
-    # an OverflowError (or, for the squared side, the kd-tree's ValueError)
+    # an OverflowError (or, for the squared side, overflowed the pair search)
     with pytest.raises(ValidationError, match=f"invalid value for config field '{field}'"):
         SimConfig(**{field: value})
 
@@ -407,6 +409,119 @@ def test_day_stats_fields():
     assert stats.day == 0
     assert stats.cumulative_infections >= 1
     assert world.day == 1
+
+
+# -------------------------------------------------------------------------
+# pair search
+# -------------------------------------------------------------------------
+
+
+def brute_pairs(points, r):
+    """Every (i, j, distance), i < j, with dx*dx + dy*dy <= r*r, by checking all pairs."""
+    i, j = np.triu_indices(len(points), k=1)
+    dx = points[i, 0] - points[j, 0]
+    dy = points[i, 1] - points[j, 1]
+    keep = dx * dx + dy * dy <= r * r
+    return sorted(zip(i[keep].tolist(), j[keep].tolist(), np.hypot(dx[keep], dy[keep]).tolist()))
+
+
+def grid_pairs(points, r):
+    i, j, dist = _pairs_within(np.asarray(points, dtype=float), r)
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert (i < j).all()
+    return sorted(zip(i.tolist(), j.tolist(), dist.tolist()))
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 60 points and a radius: spread from a fraction of the radius to
+    a thousand radii, with coordinates on a lattice r apart mixed in."""
+    r = draw(st.floats(1e-3, 1e3))
+    scale = r * draw(st.sampled_from([0.5, 2.0, 10.0, 1e3]))
+    coord = st.floats(-scale, scale) | st.integers(-8, 8).map(lambda k: k * r)
+    n = draw(st.integers(2, 60))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    return np.array(points, dtype=float), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_pairs_within_matches_brute_force(case):
+    points, r = case
+    assert grid_pairs(points, r) == brute_pairs(points, r)
+
+
+def test_pairs_within_keeps_lattice_neighbours_exactly_r_apart():
+    # a 6 x 6 lattice of spacing r: the 60 edge neighbours sit exactly r apart
+    # and are kept; the diagonals, r * sqrt(2) apart, are not
+    for r in (0.5, 1.0, 3.0, 10.0):
+        points = np.array([(a * r, b * r) for a in range(6) for b in range(6)])
+        got = grid_pairs(points, r)
+        assert got == brute_pairs(points, r)
+        assert len(got) == 60
+        assert {d for _, _, d in got} == {r}
+
+
+def test_pairs_within_pairs_every_duplicate():
+    points = [(5.0, 5.0)] * 5 + [(50.0, 50.0), (5.0, 5.0)]
+    got = grid_pairs(points, 1.0)
+    assert got == brute_pairs(np.array(points), 1.0)
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i in (0, 1, 2, 3, 4, 6) for j in (1, 2, 3, 4, 6) if i < j]
+    assert {d for _, _, d in got} == {0.0}
+
+
+def test_pairs_within_with_every_point_in_one_cell():
+    # no two points of a square r/2 wide are more than r apart
+    points = np.random.default_rng(4).uniform(0.0, 1.0, size=(80, 2))
+    got = grid_pairs(points, 2.0)
+    assert got == brute_pairs(points, 2.0)
+    assert len(got) == 80 * 79 // 2
+
+
+@pytest.mark.parametrize("r", [141.5, 1e3, 1e300])
+def test_pairs_within_a_radius_past_the_span_keeps_every_pair(r):
+    points = np.random.default_rng(5).uniform(0.0, 100.0, size=(60, 2))
+    got = grid_pairs(points, r)
+    assert got == brute_pairs(points, r)
+    assert len(got) == 60 * 59 // 2
+
+
+@pytest.mark.filterwarnings("error")  # a cell index past int64 warns in the cast
+def test_pairs_within_an_arena_near_the_size_cap():
+    # the span is over 2**20 radii, so cells are span / 2**20 wide: near
+    # points at both ends of the arena still pair, and far ones do not
+    side = 9e153
+    points = np.concatenate([
+        np.random.default_rng(6).uniform(0.0, side, size=(50, 2)),
+        [(0.0, 0.0), (3.0, 4.0), (side, side), (side, side), (side, 0.0)],
+    ])
+    got = grid_pairs(points, 10.0)
+    assert got == brute_pairs(points, 10.0)
+    assert got == [(50, 51, 5.0), (52, 53, 0.0)]
+
+
+def test_pairs_within_a_radius_whose_square_underflows():
+    # r*r and dx*dx both round to 0 below about 1e-162, so the keep rule pairs
+    # points much more than r apart there, as a kd-tree does
+    points = np.array([(0.0, 0.0), (5e-324, 0.0), (1e-200, 0.0), (1e-170, 1e-170), (1.5e-162, 0.0)])
+    for r in (5e-324, 1e-300, 1e-160):
+        got = grid_pairs(points, r)
+        assert got == brute_pairs(points, r)
+        assert len(got) == 10
+
+
+@pytest.mark.parametrize(
+    "n, side, r",
+    [(2000, 100.0, 10.0), (2000, 100.0, 2.0), (1000, 1e4, 31.0), (300, 1.0, 0.1), (60, 0.1, 30.0)],
+)
+def test_pairs_within_finds_the_pairs_a_kd_tree_finds(n, side, r):
+    spatial = pytest.importorskip("scipy.spatial")
+    points = np.random.default_rng(n).uniform(0.0, side, size=(n, 2))
+    i, j, dist = _pairs_within(points, r)
+    assert set(zip(i.tolist(), j.tolist())) == spatial.cKDTree(points).query_pairs(r)
+    assert len(dist) == len(i)
+    deltas = points[i] - points[j]
+    assert np.array_equal(dist, np.hypot(deltas[:, 0], deltas[:, 1]))
 
 
 # -------------------------------------------------------------------------
