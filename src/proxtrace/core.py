@@ -358,11 +358,16 @@ def read_contact_graph(path: str | Path) -> dict[DeviceId, ContactList]:
 
     Raises ValidationError naming the offending line on malformed input.
     """
-    rows: dict[bytes, tuple[DeviceId, list[ContactRecord]]] = {}
-    for owner, peer, day, distance, duration in _contact_rows(path):
+    return _contact_lists(_contact_rows(path))
+
+
+def _contact_lists(rows: Iterable[tuple]) -> dict[DeviceId, ContactList]:
+    """Graph rows (owner, peer, day, distance, duration) as one ContactList per owner."""
+    records: dict[bytes, tuple[DeviceId, list[ContactRecord]]] = {}
+    for owner, peer, day, distance, duration in rows:
         record = ContactRecord(peer, day, distance, duration)
-        rows.setdefault(owner.digest, (owner, []))[1].append(record)
-    return {owner: ContactList(owner, tuple(records)) for owner, records in rows.values()}
+        records.setdefault(owner.digest, (owner, []))[1].append(record)
+    return {owner: ContactList(owner, tuple(recs)) for owner, recs in records.values()}
 
 
 # =========================================================================

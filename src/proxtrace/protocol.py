@@ -32,7 +32,6 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import islice
 from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -73,10 +72,6 @@ from .tracing import trace_co_contacts
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
 _OTC_BITS = 128
-
-# state_digest joins and hashes this many lines at a time, so its extra
-# memory stays fixed however many contact rows the registry holds.
-_DIGEST_CHUNK_LINES = 4096
 
 # The quarantine columns hold C int64 days, so a window bound past this
 # limit is stored as the limit; quarantine_mask answers only for days below
@@ -377,16 +372,12 @@ class Registry:
         hexes = self._hexes
         distances = self._min_distance
         durations = self._total_duration
-        owners = sorted(range(len(hexes)), key=hexes.__getitem__)
-        rank = [0] * len(owners)
-        for position, owner in enumerate(owners):
-            rank[owner] = position
-        for owner in owners:
+        for owner in sorted(range(len(hexes)), key=hexes.__getitem__):
             owner_hex = hexes[owner]
             days = self._contacts[owner]
             for day in sorted(days):
                 peers = days[day]
-                for peer in sorted(peers, key=rank.__getitem__):
+                for peer in sorted(peers, key=hexes.__getitem__):
                     slot = peers[peer]
                     yield owner_hex, hexes[peer], day, distances[slot], durations[slot]
 
@@ -726,17 +717,13 @@ class Registry:
     def state_digest(self) -> str:
         """Order-independent digest of the full registry state.
 
-        The SHA-256 of its state lines joined by newlines, UTF-8 encoded.
-        The lines are hashed _DIGEST_CHUNK_LINES at a time, with the
-        newline between chunks carried over, so the bytes hashed are the
-        same as for one joined text but no list or text of every line is
-        ever held.
+        The SHA-256 of its state lines joined by newlines, UTF-8 encoded,
+        hashed one line at a time, so no list or text of every line is held.
         """
         digest = hashlib.sha256()
-        lines = self._state_lines()
         separator = ""
-        while chunk := list(islice(lines, _DIGEST_CHUNK_LINES)):
-            digest.update((separator + "\n".join(chunk)).encode("utf-8"))
+        for line in self._state_lines():
+            digest.update((separator + line).encode("utf-8"))
             separator = "\n"
         return digest.hexdigest()
 

@@ -173,11 +173,10 @@ _BAND_EDGES = ((0.2, "A"), (0.4, "B"), (0.6, "C"), (0.8, "D"), (1.0, "E"))
 def classify(score: float) -> RiskClass:
     """Map a score in [0, 1] onto its band; anything outside is an error."""
     value = float(score)
-    if math.isnan(value) or value < 0.0 or value > 1.0:
-        raise ScoreRangeError(f"risk score {value!r} outside [0, 1] cannot be classified")
-    for edge, name in _BAND_EDGES:
-        if value <= edge:
-            return RiskClass[name]
+    if 0.0 <= value <= 1.0:
+        for edge, name in _BAND_EDGES:
+            if value <= edge:
+                return RiskClass[name]
     raise ScoreRangeError(f"risk score {value!r} outside [0, 1] cannot be classified")
 
 

@@ -310,30 +310,29 @@ def step(world: WorldState) -> tuple[WorldState, DayStats]:
     if free_idx.size >= 2:
         radius = cfg.bluetooth_range if registry is not None else cfg.infection_radius
         local_i, local_j, dist = _pairs_within(world.positions[free_idx], radius)
-        if dist.size:
-            ii = free_idx[local_i]
-            jj = free_idx[local_j]
+        ii = free_idx[local_i]
+        jj = free_idx[local_j]
 
-            if registry is not None:
-                devices = world.devices
-                record = registry.record_encounter
-                for start in range(0, dist.size, _ENCOUNTER_CHUNK):
-                    chunk = slice(start, start + _ENCOUNTER_CHUNK)
-                    for a, b, d in zip(ii[chunk].tolist(), jj[chunk].tolist(), dist[chunk].tolist()):
-                        record(devices[a], devices[b], d)
+        if registry is not None:
+            devices = world.devices
+            record = registry.record_encounter
+            for start in range(0, dist.size, _ENCOUNTER_CHUNK):
+                chunk = slice(start, start + _ENCOUNTER_CHUNK)
+                for a, b, d in zip(ii[chunk].tolist(), jj[chunk].tolist(), dist[chunk].tolist()):
+                    record(devices[a], devices[b], d)
 
-            close = dist <= cfg.infection_radius
-            stage_i = world.stage[ii]
-            stage_j = world.stage[jj]
-            exposed = close & (
-                ((stage_i == _I) & (stage_j == _S)) | ((stage_j == _I) & (stage_i == _S))
-            )
-            if np.any(exposed):
-                u = _pair_uniforms(cfg.seed, day, ii, jj)
-                hit = exposed & (u < cfg.infection_probability)
-                if np.any(hit):
-                    targets = np.where(world.stage[ii[hit]] == _S, ii[hit], jj[hit])
-                    new_targets = np.unique(targets)
+        close = dist <= cfg.infection_radius
+        stage_i = world.stage[ii]
+        stage_j = world.stage[jj]
+        exposed = close & (
+            ((stage_i == _I) & (stage_j == _S)) | ((stage_j == _I) & (stage_i == _S))
+        )
+        if np.any(exposed):
+            u = _pair_uniforms(cfg.seed, day, ii, jj)
+            hit = exposed & (u < cfg.infection_probability)
+            if np.any(hit):
+                targets = np.where(world.stage[ii[hit]] == _S, ii[hit], jj[hit])
+                new_targets = np.unique(targets)
 
     # Infections land after the whole pair sweep: agents infected today are
     # snapshot-susceptible for every pair, so pair order cannot matter.
@@ -406,11 +405,8 @@ class CompareResult:
 
 
 def _peak_day(series: Sequence[DayStats]) -> int:
-    best = max(s.new_infections for s in series)
-    for s in series:
-        if s.new_infections == best:
-            return s.day
-    return 0
+    """The first day with the most new infections."""
+    return max(series, key=lambda s: s.new_infections).day
 
 
 def compare(config: SimConfig) -> CompareResult:

@@ -15,17 +15,15 @@ the index case's brief contacts), any other mapping from its ContactLists.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
-from .core import ContactList, ContactRecord, DeviceId, SimClock, _contact_rows
+from .core import ContactList, DeviceId, SimClock, _contact_lists, _contact_rows
 from .errors import UnknownDeviceError
 
 # Days between a contact with the index case and the day the trace runs.
 TRACE_LOOKBACK_DAYS = 2
-
-# One kept graph row, without its owner: a ContactRecord's fields.
-_Row = tuple[DeviceId, int, float, float]
 
 
 def trace_co_contacts(
@@ -68,31 +66,25 @@ def _two_hop_graph(path: str | Path, index_case: DeviceId, today: int) -> dict[D
 
     Every row is parsed and checked as read_contact_graph checks it, but
     only the index case's rows dated the lookback day or today and other
-    owners' rows dated today are kept, as tuples.  Contact lists are built
-    for the index case, if it owns a row, and for each peer it met on the
-    lookback day that owns a row dated today.
+    owners' rows dated today are kept.  The index case's kept rows and
+    those of each peer it met on the lookback day go through
+    read_contact_graph's builder; a case that owns rows, none of them
+    kept, gets an empty list, and one that owns no row gives {}.
     """
     lookback_day = today - TRACE_LOOKBACK_DAYS
     case = index_case.digest
     case_owns_rows = False
-    case_rows: list[_Row] = []
-    today_rows: dict[bytes, list[_Row]] = {}
-    for owner, peer, day, distance, duration in _contact_rows(path):
+    case_rows: list[tuple] = []
+    today_rows: dict[bytes, list[tuple]] = {}
+    for row in _contact_rows(path):
+        owner, _, day, _, _ = row
         if owner.digest == case:
             case_owns_rows = True
             if day == lookback_day or day == today:
-                case_rows.append((peer, day, distance, duration))
+                case_rows.append(row)
         elif day == today:
-            today_rows.setdefault(owner.digest, []).append((peer, day, distance, duration))
+            today_rows.setdefault(owner.digest, []).append(row)
     if not case_owns_rows:
         return {}
-
-    def contact_list(owner: DeviceId, rows: list[_Row]) -> ContactList:
-        return ContactList(owner, tuple(ContactRecord(*row) for row in rows))
-
-    graph = {index_case: contact_list(index_case, case_rows)}
-    for peer, day, _, _ in case_rows:
-        rows = today_rows.pop(peer.digest, None) if day == lookback_day else None
-        if rows is not None:
-            graph[peer] = contact_list(peer, rows)
-    return graph
+    peer_rows = [today_rows.pop(peer.digest, ()) for _, peer, day, _, _ in case_rows if day == lookback_day]
+    return _contact_lists(chain(case_rows, *peer_rows)) or {index_case: ContactList(index_case)}

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from proxtrace import core, risk, sim
 from proxtrace.cli import _build_parser, _load_sim_config, main
 from proxtrace.core import (
+    ContactList,
     ContactRecord,
     DeviceId,
     SimClock,
@@ -34,7 +35,7 @@ from proxtrace.errors import ProxTraceError, ValidationError
 from proxtrace.protocol import EVENT_LOG_HEADER, Registry, read_event_log, write_event_log
 from proxtrace.risk import DEFAULT_WEIGHTS, assess_area
 from proxtrace.sim import SimConfig
-from proxtrace.tracing import trace_co_contacts
+from proxtrace.tracing import TRACE_LOOKBACK_DAYS, _two_hop_graph, trace_co_contacts
 
 from conftest import bad_graph_cases, contacts, device, write_graph_csv
 
@@ -318,6 +319,43 @@ def test_trace_matches_the_full_read_oracle(tmp_path_factory, rows, rnd, upper_c
     for case, day in itertools.product(range(4), range(-1, 6)):
         case_hex = text(case, upper_case)
         assert run_trace(path, case_hex, day) == full_read_trace(path, case_hex, day)
+
+
+def two_hop_reference(graph, case, today):
+    """read_contact_graph's lists restricted to what tracing `case` on `today` reads."""
+    if case not in graph:
+        return {}
+    lookback = today - TRACE_LOOKBACK_DAYS
+
+    def restricted(owner, days):
+        return ContactList(owner, tuple(rec for rec in graph[owner] if rec.day in days))
+
+    expected = {case: restricted(case, {lookback, today})}
+    for rec in graph[case].on_day(lookback):
+        if rec.peer != case and graph.get(rec.peer, ContactList(rec.peer)).on_day(today):
+            expected[rec.peer] = restricted(rec.peer, {today})
+    return expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_rows, st.randoms(use_true_random=False))
+def test_two_hop_graph_is_the_full_read_restricted_to_the_two_hop_records(tmp_path_factory, rows, rnd):
+    pool = [device(f"trace-{i}") for i in range(4)]
+    rows = rows + rows[: len(rows) // 2]  # exact duplicate rows as well
+    rnd.shuffle(rows)
+
+    def text(i, upper):
+        return pool[i].hex.upper() if upper else pool[i].hex
+
+    path = tmp_path_factory.mktemp("graph") / "graph.csv"
+    write_graph_csv(path, [
+        f"{text(owner, up_owner)},{text(peer, up_peer)},{d},{distance!r},{duration!r}"
+        for owner, peer, d, distance, duration, up_owner, up_peer in rows
+    ])
+    full = read_contact_graph(path)
+    # every case, the last one owning no row; self-rows arise where owner == peer
+    for case, day in itertools.product(pool, range(-1, 6)):
+        assert _two_hop_graph(path, case, day) == two_hop_reference(full, case, day)
 
 
 def test_trace_expands_a_self_row_through_the_case_s_own_rows_today(tmp_path):

@@ -16,6 +16,7 @@ from proxtrace.sim import (
     _STAFF_CREDENTIAL,
     _pair_uniforms,
     _pairs_within,
+    _peak_day,
     CompareResult,
     DayStats,
     SimConfig,
@@ -233,6 +234,11 @@ def test_compare_summary_is_consistent_with_series():
 
     peaks = [st.new_infections for st in result.baseline]
     assert s.baseline_peak_day == peaks.index(max(peaks))
+
+
+def test_peak_day_is_the_first_of_tied_maxima():
+    series = [DayStats(day, new, 0, 0, 0) for day, new in enumerate([1, 4, 2, 4, 0], start=3)]
+    assert _peak_day(series) == 4
 
 
 def test_replicates_use_consecutive_seeds_and_parallel_agrees():
