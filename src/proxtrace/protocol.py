@@ -29,6 +29,7 @@ import math
 import random
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -227,6 +228,26 @@ class _RegistryView(Mapping[DeviceId, _Row]):
 # Registry
 # =========================================================================
 
+# One closed day of the contact store, in arrays: (owners, starts, peers,
+# slots).  Owner handle h holds rows starts[i]:starts[i + 1] of the peer
+# handle and slot columns.  With owners None the index is dense, i = h for
+# every handle registered by the seal; otherwise owners lists the handles
+# with a contact that day, ascending, and owners[i] == h.  Each array's item
+# type is the smallest that holds its values.  A plain tuple, since
+# unpacking a NamedTuple costs a sealed read about a tenth more.
+_SealedDay = tuple[array | None, array, array, array]
+
+
+# The (peers, slots) of an owner-day with no contact.
+_NO_PAIRS: tuple[Sequence[int], Sequence[int]] = ((), ())
+
+
+def _packed(values: np.ndarray, largest: int) -> array:
+    """The non-negative ints as an array of the smallest unsigned type that holds `largest`."""
+    dtype = np.min_scalar_type(largest)
+    return array(dtype.char, values.astype(dtype, copy=False).tobytes())
+
+
 def _summed_duration(total: float, duration: float) -> float:
     """A contact's duration after one more booking; one past the float range is rejected."""
     total += duration
@@ -247,7 +268,7 @@ class Registry:
         log_events: bool = True,
     ) -> None:
         self.policy = policy
-        self.clock = SimClock(0)
+        self._clock = SimClock(0)
         self.otcs: dict[str, Otc] = {}
         self.notifications: list[Notification] = []
         self.events: list[Event] = []
@@ -273,11 +294,17 @@ class Registry:
         # quarantine_mask; a bound past _MASK_DAY_LIMIT is stored as the limit.
         self._q_start = array("q")
         self._q_end = array("q")
-        # The contact graph: day -> peer handle -> slot, where a slot indexes
-        # the closest distance and summed duration columns.  Both endpoints
-        # of a pair share one slot.  The store holds only ints and C doubles,
-        # so the collector tracks one dict per device and never a slot.
-        self._contacts: list[dict[int, dict[int, int]]] = []
+        # The contact graph.  A slot indexes the closest distance and summed
+        # duration columns, and both endpoints of a pair-day share one.  Only
+        # the clock day takes bookings: its contacts are owner handle -> peer
+        # handle -> slot dicts, so a repeat merges in place, and each new
+        # slot's two endpoints are appended to _day_ends.  advance_clock
+        # seals that day into a _SealedDay, built from _day_ends, and empties
+        # both; a day with no contact is not kept.  So a day's contacts live
+        # either in the dicts or in its sealed arrays, and _pairs reads both.
+        self._today: dict[int, dict[int, int]] = {}
+        self._day_ends = array("q")
+        self._sealed: dict[int, _SealedDay] = {}
         self._min_distance = array("d")
         self._total_duration = array("d")
         self._log_events = log_events
@@ -286,15 +313,83 @@ class Registry:
     # plumbing
     # ------------------------------------------------------------------
 
+    @property
+    def clock(self) -> SimClock:
+        """The registry's day, read-only: the contact store seals a day only
+        when advance_clock moves past it."""
+        return self._clock
+
     def advance_clock(self, clock: SimClock) -> SimClock:
-        if clock.current_day < self.clock.current_day:
+        """Move the clock forward; moving to a later day seals the clock day's contacts."""
+        if clock.current_day < self._clock.current_day:
             raise ValidationError("registry clock cannot move backwards")
-        self.clock = clock
-        return self.clock
+        if clock.current_day > self._clock.current_day:
+            self._seal()
+        self._clock = clock
+        return self._clock
+
+    def _seal(self) -> None:
+        """Move the clock day's contacts from its dicts into a _SealedDay.
+
+        The day's slots are the last ones appended, one per pair in
+        _day_ends order, so row k of the interleaved endpoints is owned by
+        ends[k], met ends[k ^ 1] and shares slot base + k // 2.  One sort
+        groups the rows by owner: numpy's stable sort, a radix sort for keys
+        of up to 16 bits, over keys of the smallest type that holds a
+        handle.  The index is dense, one entry per device, when that is no
+        more entries than the day has rows, and lists only the day's owners
+        otherwise, so a sealed day's size is proportional to its contacts.
+        """
+        ends = np.frombuffer(self._day_ends, dtype=np.int64)
+        if ends.size:
+            devices = len(self._ids)
+            handles = ends.astype(np.min_scalar_type(devices - 1))
+            order = np.argsort(handles, kind="stable")
+            owners = handles[order]
+            peers = handles[order ^ 1]
+            if devices < ends.size:
+                index = None
+                starts = np.searchsorted(owners, np.arange(devices + 1))
+            else:
+                starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+                starts = np.concatenate(([0], starts, [ends.size]))
+                index = _packed(owners[starts[:-1]], devices - 1)
+            order >>= 1
+            order += len(self._min_distance) - ends.size // 2  # the day's first slot
+            self._sealed[self._clock.current_day] = (
+                index,
+                _packed(starts, ends.size),
+                _packed(peers, devices - 1),
+                _packed(order, len(self._min_distance) - 1),
+            )
+        self._today = {}
+        self._day_ends = array("q")
+
+    def _pairs(self, owner: int, day: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The peer handles and slots of the owner's contacts on `day`, in
+        one order: the clock day's from its dicts, an earlier day's from its
+        sealed rows."""
+        if day == self._clock.current_day:
+            peers = self._today.get(owner)
+            return (peers, peers.values()) if peers else _NO_PAIRS
+        sealed = self._sealed.get(day)
+        if sealed is None:
+            return _NO_PAIRS
+        owners, starts, peers, slots = sealed
+        row = owner
+        if owners is not None:
+            row = bisect_left(owners, owner)
+            if row == len(owners) or owners[row] != owner:
+                return _NO_PAIRS
+        try:
+            start, end = starts[row], starts[row + 1]
+        except IndexError:  # a device registered after the seal
+            return _NO_PAIRS
+        return peers[start:end], slots[start:end]
 
     def _log(self, operation: str, actor: str, outcome: str, **details: object) -> None:
         if self._log_events:
-            self.events.append(Event(self.clock.current_day, operation, actor, outcome, details))
+            self.events.append(Event(self._clock.current_day, operation, actor, outcome, details))
 
     def _fail(self, operation: str, actor: str, error: ProxTraceError) -> None:
         self._log(operation, actor, type(error).__name__)
@@ -343,8 +438,8 @@ class Registry:
             ContactRecord(
                 peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
             )
-            for day, peers in self._contacts[owner].items()
-            for peer, slot in peers.items()
+            for day in (*self._sealed, self._clock.current_day)
+            for peer, slot in zip(*self._pairs(owner, day))
         )
         return ContactList(ids[owner], records)
 
@@ -353,10 +448,10 @@ class Registry:
         ContactList's record order; if its handle is `brief_of`, only those
         met for at least the policy's min_contact_duration_s."""
         owner = self._handle[device.digest]
-        peers = self._contacts[owner].get(day, {})
+        peers, slots = self._pairs(owner, day)
         if owner == brief_of:
             least, durations = self.policy.min_contact_duration_s, self._total_duration
-            peers = {peer: slot for peer, slot in peers.items() if durations[slot] >= least}
+            peers = [peer for peer, slot in zip(peers, slots) if durations[slot] >= least]
         return [self._ids[peer] for peer in sorted(peers, key=self._hexes.__getitem__)]
 
     def _sorted_contact_rows(self) -> Iterator[tuple[str, str, int, float, float]]:
@@ -366,20 +461,19 @@ class Registry:
         the one row order the graph CSV and state_digest share.  Days sort as
         numbers, so day 10 follows day 9; fixed-width lower-case hex sorts like
         the digest bytes.  The hex texts are the registry's per-device column,
-        and rows are sorted one owner at a time, so no list of every row is
-        built.
+        and rows are sorted one owner-day at a time, so no list of every row
+        is built.
         """
         hexes = self._hexes
         distances = self._min_distance
         durations = self._total_duration
+        days = (*self._sealed, self._clock.current_day)  # ascending
         for owner in sorted(range(len(hexes)), key=hexes.__getitem__):
             owner_hex = hexes[owner]
-            days = self._contacts[owner]
-            for day in sorted(days):
-                peers = days[day]
-                for peer in sorted(peers, key=hexes.__getitem__):
-                    slot = peers[peer]
-                    yield owner_hex, hexes[peer], day, distances[slot], durations[slot]
+            for day in days:
+                peers, slots = self._pairs(owner, day)
+                for peer_hex, slot in sorted(zip(map(hexes.__getitem__, peers), slots)):
+                    yield owner_hex, peer_hex, day, distances[slot], durations[slot]
 
     # ------------------------------------------------------------------
     # one-time codes
@@ -396,7 +490,7 @@ class Registry:
         code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
         while code in self.otcs:  # collision chance ~2**-128, but be exact
             code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
-        otc = self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
+        otc = self.otcs[code] = Otc(code=code, issued_day=self._clock.current_day)
         self._log("otc_issued", "staff", "ok", code=code)
         return otc
 
@@ -433,7 +527,7 @@ class Registry:
             raise
         otc.consumed = True
         record = DeviceRecord(
-            device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
+            device=device, status=HealthStatus(stage), registered_day=self._clock.current_day
         )
         hex_text = device.hex
         self._handle[device.digest] = len(self._ids)
@@ -444,7 +538,6 @@ class Registry:
         self._last_checked.append(stage)
         self._q_start.append(0)
         self._q_end.append(0)
-        self._contacts.append({})
         self._log("user_registered", hex_text, "ok", code=otc_code, status=stage.value)
         return record
 
@@ -476,7 +569,7 @@ class Registry:
             self._fail("status_updated", device.hex, exc)
             raise
         otc.consumed = True
-        day = self.clock.current_day
+        day = self._clock.current_day
         self._set_status(handle, status)
         notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
@@ -485,7 +578,7 @@ class Registry:
             # Brief contacts are dropped from the index case's own records only.
             brief = partial(self._peers_on, brief_of=handle)
             graph = _RegistryView(self, self._contact_list, peers_on=brief)
-            for contact in trace_co_contacts(device, graph, self.clock):
+            for contact in trace_co_contacts(device, graph, self._clock):
                 self._quarantine(self._handle[contact.digest], day)
                 notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
         self._log(
@@ -557,7 +650,7 @@ class Registry:
             else:
                 raise ValidationError("duration must be non-negative and finite")
             # The last check: _book books nothing if the summed duration overflows.
-            self._book(left_handle, right_handle, self.clock.current_day, distance, dur)
+            self._book(left_handle, right_handle, distance, dur)
         except ProxTraceError as exc:
             self._fail("encounter_recorded", left.hex, exc)
             raise
@@ -567,8 +660,9 @@ class Registry:
                 peer=self._hexes[right_handle], distance=distance, duration=dur,
             )
 
-    def _book(self, left: int, right: int, day: int, distance: float, duration: float) -> None:
-        """Book one encounter on both endpoints: min distance, summed duration.
+    def _book(self, left: int, right: int, distance: float, duration: float) -> None:
+        """Book one encounter of the clock day on both endpoints: min
+        distance, summed duration.
 
         A new pair-day appends one slot to the distance and duration columns,
         and the two endpoints share its index, so a repeat updates both
@@ -576,20 +670,21 @@ class Registry:
         whose summed duration would overflow raises ValidationError and books
         nothing.
         """
-        left_days = self._contacts[left]
-        left_peers = left_days.get(day)
+        today = self._today
+        left_peers = today.get(left)
         if left_peers is None:
-            left_peers = left_days[day] = {}
+            left_peers = today[left] = {}
         slot = left_peers.get(right)
         if slot is None:
             slot = len(self._min_distance)
             self._min_distance.append(distance)
             self._total_duration.append(duration)
+            self._day_ends.append(left)
+            self._day_ends.append(right)
             left_peers[right] = slot
-            right_days = self._contacts[right]
-            right_peers = right_days.get(day)
+            right_peers = today.get(right)
             if right_peers is None:
-                right_days[day] = {left: slot}
+                today[right] = {left: slot}
             else:
                 right_peers[left] = slot
         else:
@@ -631,10 +726,10 @@ class Registry:
                 logged.append([peer.hex if handle is None else hexes[handle], distance])
                 if handle is not None and handle != own:
                     registered.append((handle, float(distance)))
-            day = self.clock.current_day
+            day = self._clock.current_day
             duration = self.policy.encounter_duration_s
             # Every sum the bookings below make is checked before the first one.
-            booked = self._contacts[own].get(day, {})
+            booked = self._today.get(own, {})
             durations = self._total_duration
             sums = {h: durations[booked[h]] if h in booked else 0.0 for h, _ in registered}
             for handle, _ in registered:
@@ -648,7 +743,7 @@ class Registry:
             self._fail("scan", scanner.hex, exc)
             raise
         for handle, distance in registered:
-            self._book(own, handle, day, distance, duration)
+            self._book(own, handle, distance, duration)
         risk_class = note = None
         if registered:
             categories = [self._categorize(handle, day) for handle, _ in registered]
@@ -663,20 +758,17 @@ class Registry:
             return 0  # infected
         if self._met_infected(handle, day):
             return 1  # contact of an infected device within the window
-        days = self._contacts[handle]
         for d in range(day - self.policy.contact_window_days, day + 1):
-            for peer in days.get(d, ()):
+            for peer in self._pairs(handle, d)[0]:
                 if self._met_infected(peer, day):
                     return 2  # contact of a category-B device within the window
         return 3
 
     def _met_infected(self, handle: int, day: int) -> bool:
         """Whether the device met an infected device in the window ending on `day`."""
-        days = self._contacts[handle]
         is_infected = self._infected.__getitem__
         for d in range(day - self.policy.contact_window_days, day + 1):
-            peers = days.get(d)
-            if peers and any(map(is_infected, peers)):
+            if any(map(is_infected, self._pairs(handle, d)[0])):
                 return True
         return False
 
@@ -697,7 +789,7 @@ class Registry:
         except ProxTraceError as exc:
             self._fail("status_check", device.hex, exc)
             raise
-        day = self.clock.current_day
+        day = self._clock.current_day
         stage = self._records[handle].status.stage
         previous = self._last_checked[handle]
         self._last_checked[handle] = stage
@@ -787,7 +879,7 @@ class Registry:
         registry = cls(staff_credentials, policy=policy, log_events=False)
         parse_id = hex_interner()
         for position, event in enumerate(events, start=1):
-            today = registry.clock.current_day
+            today = registry._clock.current_day
             if event.day < today:
                 raise ValidationError(
                     f"event {position}: cannot replay {event.operation!r} "
@@ -813,7 +905,7 @@ class Registry:
             code = str(details["code"])
             if code in self.otcs:
                 raise ValidationError("code already issued")
-            self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
+            self.otcs[code] = Otc(code=code, issued_day=self._clock.current_day)
         elif op == "user_registered":
             self._register(
                 str(details["code"]), parse_id(event.actor), Stage(str(details["status"]))

@@ -50,6 +50,15 @@ PAIR_TESTS = tuple(f"tests/test_sim.py::test_pairs_within_{name}" for name in (
     "a_radius_whose_square_underflows",
 ))
 
+# The contact store's seal: its direct test, its memory tests and the
+# state machine's contact model.
+SEAL_TESTS = (
+    "tests/test_protocol.py::test_sealing_a_day_changes_no_read",
+    "tests/test_protocol.py::test_a_sealed_day_s_size_follows_its_contacts_not_the_devices",
+    "tests/test_protocol.py::test_a_sealed_day_holds_under_half_the_memory_its_booking_took",
+    "tests/test_protocol.py::TestRegistryMachine::runTest",
+)
+
 MUTANTS = (
     Mutant(
         "contact-lists-keyed-on-the-peer",
@@ -75,9 +84,58 @@ MUTANTS = (
     Mutant(
         "contact-rows-peers-unsorted",
         "src/proxtrace/protocol.py",
-        "for peer in sorted(peers, key=hexes.__getitem__):",
-        "for peer in peers:",
+        "for peer_hex, slot in sorted(zip(map(hexes.__getitem__, peers), slots)):",
+        "for peer_hex, slot in zip(map(hexes.__getitem__, peers), slots):",
         ("tests/test_protocol.py::test_graph_writer_and_digest_match_their_references",),
+    ),
+    Mutant(
+        "seal-on-a-same-day-advance",
+        "src/proxtrace/protocol.py",
+        "if clock.current_day > self._clock.current_day:",
+        "if clock.current_day >= self._clock.current_day:",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "seal-keeps-the-clock-day-dicts",
+        "src/proxtrace/protocol.py",
+        "        self._today = {}\n        self._day_ends",
+        "        self._day_ends",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "seal-sparse-row-range-off-by-one",
+        "src/proxtrace/protocol.py",
+        "starts = np.flatnonzero(owners[1:] != owners[:-1]) + 1",
+        "starts = np.flatnonzero(owners[1:] != owners[:-1])",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "seal-dense-row-range-off-by-one",
+        "src/proxtrace/protocol.py",
+        "starts = np.searchsorted(owners, np.arange(devices + 1))",
+        "starts = np.searchsorted(owners, np.arange(devices + 1), side=\"right\")",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "seal-only-left-endpoints",
+        "src/proxtrace/protocol.py",
+        "peers = handles[order ^ 1]",
+        "peers = handles[order | 1]",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "sealed-absent-owner-reads-the-next-one",
+        "src/proxtrace/protocol.py",
+        "if row == len(owners) or owners[row] != owner:",
+        "if row == len(owners):",
+        SEAL_TESTS,
+    ),
+    Mutant(
+        "seal-always-a-dense-index",
+        "src/proxtrace/protocol.py",
+        "if devices < ends.size:",
+        "if True:",
+        SEAL_TESTS,
     ),
     Mutant(
         "classify-band-edge-excluded",

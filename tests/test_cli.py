@@ -674,6 +674,22 @@ def test_replay_matches_live_digest(tmp_path, capsys):
     assert manifest["outputs"][0]["sha256"] == sha256(out)
 
 
+def test_replay_needs_no_credential(tmp_path, capsys):
+    # a replayed otc_issued row inserts its logged code, so no credential is
+    # checked: none, and one the live registry never accepted, both replay
+    reg = Registry(["clinic"], seed=2)
+    a, b = (reg.register_user(reg.issue_otc("clinic").code, f"cli-user-{t}").device for t in "ab")
+    reg.record_encounter(a, b, 2.0)
+    reg.advance_clock(SimClock(1))
+    reg.record_encounter(a, b, 1.0)
+    reg.update_status(reg.issue_otc("clinic").code, a, Stage.INFECTED)
+    log = tmp_path / "events.csv"
+    write_event_log(reg.events, log)
+    for extra in ([], ["--credential", "nobody"]):
+        assert main(["replay", "--log", str(log), *extra]) == 0
+        assert capsys.readouterr().out.strip() == reg.state_digest()
+
+
 @pytest.mark.parametrize(
     "details, cause",
     [

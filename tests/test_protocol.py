@@ -462,6 +462,12 @@ def test_only_advance_clock_moves_the_clock():
     )
     for method in methods:
         assert "clock" not in inspect.signature(method).parameters, method.__name__
+    # the contact store seals the clock day when advance_clock leaves it, so
+    # the clock cannot be set around it
+    reg = make_registry()
+    with pytest.raises(AttributeError):
+        reg.clock = SimClock(3)
+    assert reg.clock == SimClock(0)
 
 
 # -------------------------------------------------------------------------
@@ -563,6 +569,119 @@ def test_booking_fresh_pairs_adds_at_most_one_tracked_object_per_device():
     for left, right in pairs:
         reg.record_encounter(left, right, 2.0)
     assert len(gc.get_objects()) - before <= len(people)
+
+
+def store_reads(reg: Registry, tmp_path) -> tuple:
+    """Everything the registry reads from its contact store, for its devices
+    and every day up to the clock's: graph bytes, digest, lists, peers,
+    exposure categories."""
+    write_contact_graph(reg.contact_graph, tmp_path / "graph.csv")
+    days = range(reg.clock.current_day + 1)
+    return (
+        (tmp_path / "graph.csv").read_bytes(),
+        reg.state_digest(),
+        dict(reg.contact_graph),
+        [[reg._peers_on(device, day) for day in days] for device in reg.devices],
+        [[reg._categorize(handle, day) for day in days] for handle in range(len(reg.devices))],
+    )
+
+
+def test_sealing_a_day_changes_no_read(tmp_path):
+    reg = make_registry(policy=RegistryPolicy(contact_window_days=3))
+    people = [enroll(reg, str(i)) for i in range(7)]
+    a, b, c = sorted(people[:3], key=lambda device: device.digest)
+
+    def book_a_day():
+        # a meets its peers against digest order, and one pair meets twice;
+        # handles 3 and 4 meet no one, so each sealed day has owner-less
+        # handles between two owners
+        reg.record_encounter(a, c, 2.0, 10.0)
+        reg.record_encounter(b, a, 3.0)
+        reg.record_encounter(c, b, 1.0)
+        reg.record_encounter(a, c, 1.5, 20.0)
+        reg.record_encounter(people[5], people[6], 4.0)
+        reg.record_encounter(people[6], a, 2.5)
+
+    def advance_changes_no_read(day):
+        before = store_reads(reg, tmp_path)
+        reg.advance_clock(SimClock(day))
+        after = store_reads(reg, tmp_path)
+        assert after[:3] == before[:3]
+        assert [peers[: len(before[3][0])] for peers in after[3]] == before[3]
+        assert [cats[: len(before[4][0])] for cats in after[4]] == before[4]
+
+    book_a_day()
+    reg.advance_clock(SimClock(0))  # the same day: nothing is sealed, repeats still merge
+    reg.record_encounter(people[5], people[6], 0.5, 1.0)
+    assert not reg._sealed
+    assert [(r.distance, r.duration) for r in reg.contact_list(people[5])] == [(0.5, 61.0)]
+    reg.update_status(reg.issue_otc(CRED).code, people[6], Stage.INFECTED)
+    advance_changes_no_read(2)
+    assert list(reg._sealed) == [0]
+
+    book_a_day()
+    advance_changes_no_read(6)  # a jump of several days seals only day 2
+    assert list(reg._sealed) == [0, 2]
+    assert {r.day for device in people for r in reg.contact_list(device)} == {0, 2}
+
+    # one pair, fewer rows than devices: the index lists only the day's
+    # two owners, and the handles around them read nothing
+    reg.record_encounter(people[4], people[1], 3.5)
+    advance_changes_no_read(7)
+    assert list(reg._sealed) == [0, 2, 6]
+    assert [reg._sealed[day][0] is None for day in (0, 2, 6)] == [True, True, False]
+    assert [len(reg._peers_on(device, 6)) for device in people] == [0, 1, 0, 0, 1, 0, 0]
+
+    # a device registered after a day was sealed met no one on it
+    late = enroll(reg, "late")
+    handle = reg._handle[late.digest]
+    assert reg.contact_list(late).records == ()
+    assert all(reg._peers_on(late, day) == [] for day in range(8))
+    assert not reg._met_infected(handle, 2)
+    assert reg._categorize(handle, 2) == 3
+
+
+def test_a_sealed_day_s_size_follows_its_contacts_not_the_devices():
+    # a one-pair day among 10 000 devices: an index with an entry per
+    # device would cost 10 000 bytes at least
+    reg = make_registry(log_events=False)
+    people = [enroll(reg, str(i)) for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reg.record_encounter(people[1], people[4000], 2.0)
+        reg.advance_clock(SimClock(1))
+        sealed = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert sealed < 3_000, sealed
+    assert [r.peer for r in reg.contact_list(people[4000])] == [people[1]]
+
+
+def test_a_sealed_day_holds_under_half_the_memory_its_booking_took():
+    # At about 140 B a pair-day in dicts, booking 20 000 pairs takes about
+    # 3 MB; sealed, a pair-day costs its two float columns and two rows of
+    # a peer handle and a slot.  Both figures come from one process.
+    reg = make_registry(log_events=False)
+    people = [enroll(reg, str(i)) for i in range(400)]
+    pairs = list(itertools.islice(itertools.combinations(people, 2), 20_000))
+    record = reg.record_encounter
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for left, right in pairs:
+            record(left, right, 2.0)
+        booked = tracemalloc.get_traced_memory()[0] - start
+        reg.advance_clock(SimClock(1))
+        sealed = tracemalloc.get_traced_memory()[0] - start
+        for day in range(2, 100):  # a day with no contact costs nothing
+            reg.advance_clock(SimClock(day))
+        empty_days = tracemalloc.get_traced_memory()[0] - start - sealed
+    finally:
+        tracemalloc.stop()
+    assert sealed <= booked / 2, (booked, sealed)
+    assert empty_days < 1_000, empty_days
+    assert len(reg.contact_list(people[0])) == len(people) - 1
 
 
 def test_contact_list_requires_registration():
@@ -1624,6 +1743,9 @@ class RegistryMachine(RuleBasedStateMachine):
         self.registry = Registry([CRED], seed=seed, policy=policy)
         self.codes = [UNKNOWN]
         self.windows: dict = {}
+        # the contact store's model: (owner, day, peer) -> (closest
+        # distance, durations summed in arrival order), both directions
+        self.contacts: dict = {}
         for raw in POOL[:3]:  # the last two start unregistered
             code = self.registry.issue_otc(CRED).code
             self.registry.register_user(code, raw)
@@ -1632,11 +1754,21 @@ class RegistryMachine(RuleBasedStateMachine):
     def device(self, index):
         return hash_identifier(POOL[index])
 
-    def attempt(self, call, *args):
+    def attempt(self, call, *args) -> bool:
         try:
             call(*args)
         except ProxTraceError:
-            pass  # a rejected request must leave state and log consistent too
+            return False  # a rejected request must leave state and log consistent too
+        return True
+
+    def book(self, left, right, distance, duration):
+        day = self.registry.clock.current_day
+        for key in ((left, day, right), (right, day, left)):
+            if key in self.contacts:
+                closest, total = self.contacts[key]
+                self.contacts[key] = (min(closest, distance), total + duration)
+            else:
+                self.contacts[key] = (distance, duration)
 
     @rule(forged=st.booleans())
     def issue(self, forged):
@@ -1670,7 +1802,10 @@ class RegistryMachine(RuleBasedStateMachine):
     )
     def encounter(self, left, right, distance, duration):
         left, right = self.device(left), self.device(right)
-        self.attempt(self.registry.record_encounter, left, right, distance, duration)
+        if self.attempt(self.registry.record_encounter, left, right, distance, duration):
+            if duration is None:
+                duration = self.registry.policy.encounter_duration_s
+            self.book(left, right, float(distance), float(duration))
 
     @rule(
         scanner=st.integers(0, 4),
@@ -1679,7 +1814,12 @@ class RegistryMachine(RuleBasedStateMachine):
     )
     def scan(self, scanner, neighbors, weights):
         neighbors = [(self.device(i), distance) for i, distance in neighbors]
-        self.attempt(self.registry.scan_handshake, self.device(scanner), neighbors, weights)
+        scanner = self.device(scanner)
+        if self.attempt(self.registry.scan_handshake, scanner, neighbors, weights):
+            for peer, distance in neighbors:
+                if peer in self.registry.devices and peer != scanner:
+                    duration = self.registry.policy.encounter_duration_s
+                    self.book(scanner, peer, float(distance), duration)
 
     @rule(person=st.integers(0, 4))
     def check(self, person):
@@ -1703,6 +1843,17 @@ class RegistryMachine(RuleBasedStateMachine):
         for device in reg.devices:
             handle = reg._handle[device.digest]
             assert reg._categorize(handle, day) == reference_category(reg, device, day)
+
+    @invariant()
+    def contacts_match_the_model(self):
+        reg = self.registry
+        for device in reg.devices:
+            records = tuple(
+                ContactRecord(peer, day, closest, total)
+                for (owner, day, peer), (closest, total) in self.contacts.items()
+                if owner == device
+            )
+            assert reg.contact_list(device) == ContactList(device, records)
 
     @invariant()
     def contacts_are_mutual(self):
