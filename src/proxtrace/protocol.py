@@ -337,8 +337,9 @@ class Registry:
         groups the rows by owner: numpy's stable sort, a radix sort for keys
         of up to 16 bits, over keys of the smallest type that holds a
         handle.  The index is dense, one entry per device, when that is no
-        more entries than the day has rows, and lists only the day's owners
-        otherwise, so a sealed day's size is proportional to its contacts.
+        more entries than the day has rows, so a read indexes it instead of
+        searching it; otherwise it lists only the day's owners.  Either way
+        a sealed day's size is proportional to its contacts.
         """
         ends = np.frombuffer(self._day_ends, dtype=np.int64)
         if ends.size:
@@ -389,7 +390,7 @@ class Registry:
 
     def _log(self, operation: str, actor: str, outcome: str, **details: object) -> None:
         if self._log_events:
-            self.events.append(Event(self._clock.current_day, operation, actor, outcome, details))
+            self.events.append(Event(self.clock.current_day, operation, actor, outcome, details))
 
     def _fail(self, operation: str, actor: str, error: ProxTraceError) -> None:
         self._log(operation, actor, type(error).__name__)
@@ -438,7 +439,7 @@ class Registry:
             ContactRecord(
                 peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
             )
-            for day in (*self._sealed, self._clock.current_day)
+            for day in (*self._sealed, self.clock.current_day)
             for peer, slot in zip(*self._pairs(owner, day))
         )
         return ContactList(ids[owner], records)
@@ -462,15 +463,23 @@ class Registry:
         numbers, so day 10 follows day 9; fixed-width lower-case hex sorts like
         the digest bytes.  The hex texts are the registry's per-device column,
         and rows are sorted one owner-day at a time, so no list of every row
-        is built.
+        is built.  Each owner's days come from the sealed days' owner lists
+        and the clock day's dicts, so the walk costs one step per owner-day
+        with a contact, however many days hold none of the owner's.
         """
         hexes = self._hexes
         distances = self._min_distance
         durations = self._total_duration
-        days = (*self._sealed, self._clock.current_day)  # ascending
+        days_of: list[list[int]] = [[] for _ in hexes]
+        for day, (owners, starts, _, _) in self._sealed.items():  # ascending days
+            for owner in range(len(starts) - 1) if owners is None else owners:
+                days_of[owner].append(day)
+        today = self.clock.current_day
+        for owner in self._today:
+            days_of[owner].append(today)
         for owner in sorted(range(len(hexes)), key=hexes.__getitem__):
             owner_hex = hexes[owner]
-            for day in days:
+            for day in days_of[owner]:
                 peers, slots = self._pairs(owner, day)
                 for peer_hex, slot in sorted(zip(map(hexes.__getitem__, peers), slots)):
                     yield owner_hex, peer_hex, day, distances[slot], durations[slot]
@@ -490,7 +499,7 @@ class Registry:
         code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
         while code in self.otcs:  # collision chance ~2**-128, but be exact
             code = f"{self._rng.getrandbits(_OTC_BITS):032x}"
-        otc = self.otcs[code] = Otc(code=code, issued_day=self._clock.current_day)
+        otc = self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
         self._log("otc_issued", "staff", "ok", code=code)
         return otc
 
@@ -527,7 +536,7 @@ class Registry:
             raise
         otc.consumed = True
         record = DeviceRecord(
-            device=device, status=HealthStatus(stage), registered_day=self._clock.current_day
+            device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
         )
         hex_text = device.hex
         self._handle[device.digest] = len(self._ids)
@@ -569,7 +578,7 @@ class Registry:
             self._fail("status_updated", device.hex, exc)
             raise
         otc.consumed = True
-        day = self._clock.current_day
+        day = self.clock.current_day
         self._set_status(handle, status)
         notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
@@ -578,7 +587,7 @@ class Registry:
             # Brief contacts are dropped from the index case's own records only.
             brief = partial(self._peers_on, brief_of=handle)
             graph = _RegistryView(self, self._contact_list, peers_on=brief)
-            for contact in trace_co_contacts(device, graph, self._clock):
+            for contact in trace_co_contacts(device, graph, self.clock):
                 self._quarantine(self._handle[contact.digest], day)
                 notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
         self._log(
@@ -726,7 +735,7 @@ class Registry:
                 logged.append([peer.hex if handle is None else hexes[handle], distance])
                 if handle is not None and handle != own:
                     registered.append((handle, float(distance)))
-            day = self._clock.current_day
+            day = self.clock.current_day
             duration = self.policy.encounter_duration_s
             # Every sum the bookings below make is checked before the first one.
             booked = self._today.get(own, {})
@@ -789,7 +798,7 @@ class Registry:
         except ProxTraceError as exc:
             self._fail("status_check", device.hex, exc)
             raise
-        day = self._clock.current_day
+        day = self.clock.current_day
         stage = self._records[handle].status.stage
         previous = self._last_checked[handle]
         self._last_checked[handle] = stage
@@ -879,7 +888,7 @@ class Registry:
         registry = cls(staff_credentials, policy=policy, log_events=False)
         parse_id = hex_interner()
         for position, event in enumerate(events, start=1):
-            today = registry._clock.current_day
+            today = registry.clock.current_day
             if event.day < today:
                 raise ValidationError(
                     f"event {position}: cannot replay {event.operation!r} "
@@ -905,7 +914,7 @@ class Registry:
             code = str(details["code"])
             if code in self.otcs:
                 raise ValidationError("code already issued")
-            self.otcs[code] = Otc(code=code, issued_day=self._clock.current_day)
+            self.otcs[code] = Otc(code=code, issued_day=self.clock.current_day)
         elif op == "user_registered":
             self._register(
                 str(details["code"]), parse_id(event.actor), Stage(str(details["status"]))

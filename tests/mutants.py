@@ -89,6 +89,13 @@ MUTANTS = (
         ("tests/test_protocol.py::test_graph_writer_and_digest_match_their_references",),
     ),
     Mutant(
+        "contact-rows-skip-dense-days",
+        "src/proxtrace/protocol.py",
+        "for owner in range(len(starts) - 1) if owners is None else owners:",
+        "for owner in owners or ():",
+        SEAL_TESTS,
+    ),
+    Mutant(
         "seal-on-a-same-day-advance",
         "src/proxtrace/protocol.py",
         "if clock.current_day > self._clock.current_day:",
