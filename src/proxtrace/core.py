@@ -153,9 +153,6 @@ class HealthStatus:
         validate_transition(self.stage, new_stage)
         return HealthStatus(new_stage, self.quarantine)
 
-    def with_quarantine(self, window: Quarantine) -> "HealthStatus":
-        return HealthStatus(self.stage, window)
-
     def is_quarantined(self, day: int) -> bool:
         return self.quarantine is not None and self.quarantine.covers(day)
 

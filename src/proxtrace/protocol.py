@@ -57,6 +57,7 @@ from .core import (
     _unreadable_text_is_invalid,
     hash_identifier,
     hex_interner,
+    validate_transition,
 )
 from .errors import (
     AlreadyRegisteredError,
@@ -111,7 +112,7 @@ class Otc:
 
 @dataclass(frozen=True)
 class DeviceRecord:
-    """Registry row for one device: identity, health, registration day."""
+    """A snapshot of one device's registry columns, built on read."""
 
     device: DeviceId
     status: HealthStatus
@@ -284,16 +285,19 @@ class Registry:
         # Each device's hex text, formatted once and shared by every log row
         # and contact row that names the device.
         self._hexes: list[str] = []
-        self._records: list[DeviceRecord] = []
-        # Whether each device's stage is INFECTED, derived from its record
-        # by the row writers (_register, _set_status) for the exposure scans.
+        self._stage: list[Stage] = []
+        # Whether each device's stage is INFECTED, for the exposure scans.
         self._infected: list[bool] = []
+        self._registered_day: list[int] = []
         self._last_checked: list[Stage] = []
         # Each device's quarantine window as [start, end) day columns, (0, 0)
-        # for none, mirrored from its record by the row writers for
-        # quarantine_mask; a bound past _MASK_DAY_LIMIT is stored as the limit.
+        # for none; a bound past _MASK_DAY_LIMIT is stored as the limit, and
+        # a window whose end reaches it is kept exactly in _far_windows too.
         self._q_start = array("q")
         self._q_end = array("q")
+        self._far_windows: dict[int, Quarantine] = {}
+        # The sealed days on which each device has a contact, ascending.
+        self._contact_days: list[list[int]] = []
         # The contact graph.  A slot indexes the closest distance and summed
         # duration columns, and both endpoints of a pair-day share one.  Only
         # the clock day takes bookings: its contacts are owner handle -> peer
@@ -339,9 +343,12 @@ class Registry:
         handle.  The index is dense, one entry per device, when that is no
         more entries than the day has rows, so a read indexes it instead of
         searching it; otherwise it lists only the day's owners.  Either way
-        a sealed day's size is proportional to its contacts.
+        a sealed day's size is proportional to its contacts.  The day joins
+        each owner's contact days.
         """
         ends = np.frombuffer(self._day_ends, dtype=np.int64)
+        for owner in self._today:
+            self._contact_days[owner].append(self._clock.current_day)
         if ends.size:
             devices = len(self._ids)
             handles = ends.astype(np.min_scalar_type(devices - 1))
@@ -419,7 +426,15 @@ class Registry:
 
     @property
     def devices(self) -> Mapping[DeviceId, DeviceRecord]:
-        return _RegistryView(self, self._records.__getitem__)
+        return _RegistryView(self, self._record)
+
+    def _record(self, handle: int) -> DeviceRecord:
+        """The device's columns as a DeviceRecord."""
+        window = self._far_windows.get(handle)
+        if window is None and self._q_end[handle]:
+            window = Quarantine(self._q_start[handle], self._q_end[handle])
+        status = HealthStatus(self._stage[handle], window)
+        return DeviceRecord(self._ids[handle], status, self._registered_day[handle])
 
     @property
     def contact_graph(self) -> Mapping[DeviceId, ContactList]:
@@ -439,7 +454,7 @@ class Registry:
             ContactRecord(
                 peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
             )
-            for day in (*self._sealed, self.clock.current_day)
+            for day in (*self._contact_days[owner], self.clock.current_day)
             for peer, slot in zip(*self._pairs(owner, day))
         )
         return ContactList(ids[owner], records)
@@ -463,23 +478,16 @@ class Registry:
         numbers, so day 10 follows day 9; fixed-width lower-case hex sorts like
         the digest bytes.  The hex texts are the registry's per-device column,
         and rows are sorted one owner-day at a time, so no list of every row
-        is built.  Each owner's days come from the sealed days' owner lists
-        and the clock day's dicts, so the walk costs one step per owner-day
-        with a contact, however many days hold none of the owner's.
+        is built.  Each owner's walk reads only its sealed contact days and
+        the clock day, however many days hold none of its contacts.
         """
         hexes = self._hexes
         distances = self._min_distance
         durations = self._total_duration
-        days_of: list[list[int]] = [[] for _ in hexes]
-        for day, (owners, starts, _, _) in self._sealed.items():  # ascending days
-            for owner in range(len(starts) - 1) if owners is None else owners:
-                days_of[owner].append(day)
         today = self.clock.current_day
-        for owner in self._today:
-            days_of[owner].append(today)
         for owner in sorted(range(len(hexes)), key=hexes.__getitem__):
             owner_hex = hexes[owner]
-            for day in days_of[owner]:
+            for day in (*self._contact_days[owner], today):
                 peers, slots = self._pairs(owner, day)
                 for peer_hex, slot in sorted(zip(map(hexes.__getitem__, peers), slots)):
                     yield owner_hex, peer_hex, day, distances[slot], durations[slot]
@@ -535,20 +543,19 @@ class Registry:
             self._fail("user_registered", device.hex, exc)
             raise
         otc.consumed = True
-        record = DeviceRecord(
-            device=device, status=HealthStatus(stage), registered_day=self.clock.current_day
-        )
         hex_text = device.hex
-        self._handle[device.digest] = len(self._ids)
+        handle = self._handle[device.digest] = len(self._ids)
         self._ids.append(device)
         self._hexes.append(hex_text)
-        self._records.append(record)
+        self._stage.append(stage)
         self._infected.append(stage is Stage.INFECTED)
+        self._registered_day.append(self.clock.current_day)
         self._last_checked.append(stage)
         self._q_start.append(0)
         self._q_end.append(0)
+        self._contact_days.append([])
         self._log("user_registered", hex_text, "ok", code=otc_code, status=stage.value)
-        return record
+        return self._record(handle)
 
     # ------------------------------------------------------------------
     # status updates and the notification cascade
@@ -573,13 +580,14 @@ class Registry:
             otc = self._checked_otc(otc_code)
             if not isinstance(new_stage, Stage):
                 raise ValidationError(f"new stage {new_stage!r} is not a Stage")
-            status = self._records[handle].status.with_stage(new_stage)
+            validate_transition(self._stage[handle], new_stage)
         except ProxTraceError as exc:
             self._fail("status_updated", device.hex, exc)
             raise
         otc.consumed = True
         day = self.clock.current_day
-        self._set_status(handle, status)
+        self._stage[handle] = new_stage
+        self._infected[handle] = new_stage is Stage.INFECTED
         notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
@@ -600,20 +608,14 @@ class Registry:
         # policy duration; a later notification replaces a shorter window.
         if self.policy.quarantine_days <= 0:
             return  # zero-day policy means notify-only, no isolation window
-        window = Quarantine.starting(day + 1, self.policy.quarantine_days)
-        status = self._records[handle].status
-        if status.quarantine is not None and status.quarantine.end_day >= window.end_day:
+        start, end = day + 1, day + 1 + self.policy.quarantine_days
+        far = self._far_windows.get(handle)
+        if end <= (self._q_end[handle] if far is None else far.end_day):
             return
-        self._set_status(handle, status.with_quarantine(window))
-
-    def _set_status(self, handle: int, status: HealthStatus) -> None:
-        record = self._records[handle]
-        self._records[handle] = DeviceRecord(record.device, status, record.registered_day)
-        self._infected[handle] = status.stage is Stage.INFECTED
-        window = status.quarantine
-        if window is not None:
-            self._q_start[handle] = min(window.start_day, _MASK_DAY_LIMIT)
-            self._q_end[handle] = min(window.end_day, _MASK_DAY_LIMIT)
+        if end >= _MASK_DAY_LIMIT:
+            self._far_windows[handle] = Quarantine(start, end)
+        self._q_start[handle] = min(start, _MASK_DAY_LIMIT)
+        self._q_end[handle] = min(end, _MASK_DAY_LIMIT)
 
     def quarantine_mask(self, day: int) -> np.ndarray:
         """Whether each device is quarantined on `day`, in registration order.
@@ -799,7 +801,7 @@ class Registry:
             self._fail("status_check", device.hex, exc)
             raise
         day = self.clock.current_day
-        stage = self._records[handle].status.stage
+        stage = self._stage[handle]
         previous = self._last_checked[handle]
         self._last_checked[handle] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
@@ -832,7 +834,7 @@ class Registry:
         """state_digest's lines: devices, codes, contacts, notifications, each sorted."""
         hexes = self._hexes
         for handle in sorted(range(len(hexes)), key=hexes.__getitem__):
-            record = self._records[handle]
+            record = self._record(handle)
             q = record.status.quarantine
             q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
             yield (

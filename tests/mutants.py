@@ -89,10 +89,10 @@ MUTANTS = (
         ("tests/test_protocol.py::test_graph_writer_and_digest_match_their_references",),
     ),
     Mutant(
-        "contact-rows-skip-dense-days",
+        "seal-drops-an-owner-s-contact-day",
         "src/proxtrace/protocol.py",
-        "for owner in range(len(starts) - 1) if owners is None else owners:",
-        "for owner in owners or ():",
+        "for owner in self._today:",
+        "for owner in list(self._today)[1:]:",
         SEAL_TESTS,
     ),
     Mutant(
@@ -143,6 +143,27 @@ MUTANTS = (
         "if devices < ends.size:",
         "if True:",
         SEAL_TESTS,
+    ),
+    Mutant(
+        "infected-flag-kept-on-recovery",
+        "src/proxtrace/protocol.py",
+        "self._infected[handle] = new_stage is Stage.INFECTED",
+        "self._infected[handle] |= new_stage is Stage.INFECTED",
+        ("tests/test_protocol.py::test_categories_match_the_reference_on_random_graphs",),
+    ),
+    Mutant(
+        "far-window-never-kept",
+        "src/proxtrace/protocol.py",
+        "self._far_windows[handle] = Quarantine(start, end)",
+        "pass",
+        ("tests/test_protocol.py::test_a_window_past_the_day_columns_stays_exact",),
+    ),
+    Mutant(
+        "registered-day-recorded-as-0",
+        "src/proxtrace/protocol.py",
+        "self._registered_day.append(self.clock.current_day)",
+        "self._registered_day.append(0)",
+        ("tests/test_registry_golden.py::test_scripted_registry_matches_pins",),
     ),
     Mutant(
         "classify-band-edge-excluded",

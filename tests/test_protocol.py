@@ -386,6 +386,36 @@ def test_quarantine_mask_follows_an_extended_window_and_later_registrations():
     assert reg.quarantine_mask(15).tolist() == [False] * 5
 
 
+def test_a_window_past_the_day_columns_stays_exact():
+    # Windows ending past 2**63 - 1, one of them starting past it too: the
+    # mask's columns saturate, but each record and device line stays exact.
+    span = 2**63
+    reg = make_registry(policy=RegistryPolicy(quarantine_days=span))
+    a, b, c = (enroll(reg, tag) for tag in "abc")
+    reg.record_encounter(a, b, 2.0)
+    reg.advance_clock(SimClock(2))
+    reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED)  # traces a
+    near_window = Quarantine(3, 3 + span)
+    assert reg.devices[a].status.quarantine == near_window
+    far = span + 5
+    reg.advance_clock(SimClock(far))
+    reg.record_encounter(a, c, 2.0)
+    reg.advance_clock(SimClock(far + 2))
+    reg.update_status(reg.issue_otc(CRED).code, c, Stage.INFECTED)  # traces a again
+    far_window = Quarantine(far + 3, far + 3 + span)
+    windows = {a: far_window, b: near_window, c: far_window}
+    assert {device: reg.devices[device].status.quarantine for device in windows} == windows
+    stages = {a: "susceptible", b: "infected", c: "infected"}
+    assert sorted(line for line in reg._state_lines() if line.startswith("device|")) == sorted(
+        f"device|{device.hex}|{stages[device]}|{window.start_day},{window.end_day}|0"
+        for device, window in windows.items()
+    )
+    assert reg.quarantine_mask(2).tolist() == [False, False, False]
+    assert reg.quarantine_mask(3).tolist() == [False, True, False]
+    assert reg.quarantine_mask(span - 2).tolist() == [False, True, False]
+    assert Registry.replay(reg.events, [CRED], policy=reg.policy).state_digest() == reg.state_digest()
+
+
 @pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64])
 def test_quarantine_mask_rejects_a_day_it_cannot_answer(day):
     reg = make_registry()
@@ -682,6 +712,22 @@ def test_a_sealed_day_holds_under_half_the_memory_its_booking_took():
     assert sealed <= booked / 2, (booked, sealed)
     assert empty_days < 1_000, empty_days
     assert len(reg.contact_list(people[0])) == len(people) - 1
+
+
+def test_a_contact_list_reads_only_the_days_its_device_met_someone():
+    # 100 sealed days, two of them with a contact of a's: a's list reads
+    # those two and the clock day, not every sealed day
+    reg = make_registry(log_events=False)
+    a, b, c, d = (enroll(reg, tag) for tag in "abcd")
+    for day in range(100):
+        reg.advance_clock(SimClock(day))
+        reg.record_encounter(*((a, b) if day in (17, 60) else (c, d)), 2.0)
+    reg.advance_clock(SimClock(100))
+    assert len(reg._sealed) == 100
+    with mock.patch.object(reg, "_pairs", wraps=reg._pairs) as pairs:
+        records = reg.contact_list(a).records
+    assert [(r.peer, r.day) for r in records] == [(b, 17), (b, 60)]
+    assert pairs.call_count <= 3, pairs.call_args_list
 
 
 def test_contact_list_requires_registration():
