@@ -13,7 +13,6 @@ from .core import (
     ContactList,
     ContactRecord,
     DeviceId,
-    HealthStatus,
     Quarantine,
     SimClock,
     Stage,
@@ -79,8 +78,8 @@ __all__ = [
     "AlreadyRegisteredError", "AuthorizationError", "Category",
     "CategoryDistribution", "CompareResult", "CompareSummary", "ContactList",
     "ContactRecord", "CurvePoint", "DayStats", "DEFAULT_WEIGHTS", "DeviceId",
-    "DeviceRecord", "Event", "HealthStatus", "InvalidOtcError",
-    "NoObservationsError", "Notification", "NotificationKind", "Otc",
+    "DeviceRecord", "Event", "InvalidOtcError", "NoObservationsError",
+    "Notification", "NotificationKind", "Otc",
     "OtcError", "OtcReplayError", "ProxTraceError", "Quarantine", "Registry",
     "RegistryPolicy", "RiskClass", "ScanResult", "ScoreRangeError", "SimClock",
     "SimConfig", "Stage", "SurfaceCell", "TransitionError",

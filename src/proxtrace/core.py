@@ -1,10 +1,10 @@
 """Shared domain types for proximity tracing.
 
-Hashed device identities, health states with quarantine windows, contact
+Hashed device identities, health stages and quarantine windows, contact
 records and per-device contact lists, and the day-granularity clock the
-rest of the package runs on.  Everything here is an immutable value type:
-updates return new objects, so snapshots can be shared freely.  Also the
-process-pool fan-out the curve, surface and replicate runs share.
+rest of the package runs on.  Everything here is an immutable value type,
+so snapshots can be shared freely.  Also the process-pool fan-out the
+curve, surface and replicate runs share.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -129,32 +130,8 @@ class Quarantine:
         if self.start_day < 0 or self.end_day <= self.start_day:
             raise ValidationError("quarantine window must be non-empty and non-negative")
 
-    @classmethod
-    def starting(cls, first_day: int, days: int = DEFAULT_QUARANTINE_DAYS) -> "Quarantine":
-        return cls(first_day, first_day + days)
-
-    @property
-    def days(self) -> int:
-        return self.end_day - self.start_day
-
     def covers(self, day: int) -> bool:
         return self.start_day <= day < self.end_day
-
-
-@dataclass(frozen=True)
-class HealthStatus:
-    """Stage plus an optional quarantine window."""
-
-    stage: Stage
-    quarantine: Quarantine | None = None
-
-    def with_stage(self, new_stage: Stage) -> "HealthStatus":
-        """Return a copy in the new stage, enforcing the forward-only chain."""
-        validate_transition(self.stage, new_stage)
-        return HealthStatus(new_stage, self.quarantine)
-
-    def is_quarantined(self, day: int) -> bool:
-        return self.quarantine is not None and self.quarantine.covers(day)
 
 
 # =========================================================================
@@ -262,18 +239,16 @@ class ContactList:
 
 @dataclass(frozen=True)
 class SimClock:
-    """Integer day counter; within-day time exists only as encounter duration."""
+    """Integer day counter, stored as int; within-day time exists only as encounter duration."""
 
     current_day: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.current_day, Integral):
+            raise ValidationError(f"clock day {self.current_day!r} is not an integer")
         if self.current_day < 0:
             raise ValidationError("day counter cannot be negative")
-
-    def tick(self, days: int = 1) -> "SimClock":
-        if days < 1:
-            raise ValidationError("clock can only move forward")
-        return SimClock(self.current_day + days)
+        object.__setattr__(self, "current_day", int(self.current_day))
 
 
 # =========================================================================

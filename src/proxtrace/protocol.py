@@ -49,7 +49,6 @@ from .core import (
     ContactList,
     ContactRecord,
     DeviceId,
-    HealthStatus,
     Quarantine,
     SimClock,
     Stage,
@@ -115,8 +114,12 @@ class DeviceRecord:
     """A snapshot of one device's registry columns, built on read."""
 
     device: DeviceId
-    status: HealthStatus
+    stage: Stage
+    quarantine: Quarantine | None
     registered_day: int
+
+    def is_quarantined(self, day: int) -> bool:
+        return self.quarantine is not None and self.quarantine.covers(day)
 
 
 @dataclass(frozen=True)
@@ -275,9 +278,9 @@ class Registry:
         self.events: list[Event] = []
         self._staff = frozenset(staff_credentials)
         self._rng = random.Random(seed)
-        # (digest, kind value, day) of every notification sent: the kind's
-        # str value hashes in C, an Enum member through Enum.__hash__.
-        self._notified: set[tuple[bytes, str, int]] = set()
+        # (digest, kind value) of each notification sent on the clock day: the
+        # kind's str value hashes in C, an Enum member through Enum.__hash__.
+        self._notified: set[tuple[bytes, str]] = set()
         # Dense int handle per registered device digest, in registration
         # order; every per-device column below is indexed by it.
         self._handle: dict[bytes, int] = {}
@@ -324,11 +327,15 @@ class Registry:
         return self._clock
 
     def advance_clock(self, clock: SimClock) -> SimClock:
-        """Move the clock forward; moving to a later day seals the clock day's contacts."""
+        """Move the clock forward to a SimClock's day; moving to a later day
+        seals the clock day's contacts and forgets which notifications it sent."""
+        if not isinstance(clock, SimClock):
+            raise ValidationError(f"registry clock must be a SimClock, got {clock!r}")
         if clock.current_day < self._clock.current_day:
             raise ValidationError("registry clock cannot move backwards")
         if clock.current_day > self._clock.current_day:
             self._seal()
+            self._notified.clear()
         self._clock = clock
         return self._clock
 
@@ -410,17 +417,14 @@ class Registry:
         return handle
 
     def _emit(
-        self,
-        recipient: DeviceId,
-        kind: NotificationKind,
-        day: int,
-        risk_class: RiskClass | None = None,
+        self, recipient: DeviceId, kind: NotificationKind, risk_class: RiskClass | None = None
     ) -> Notification | None:
-        key = (recipient.digest, kind._value_, day)
+        """Notify on the clock day, unless the recipient got this kind today."""
+        key = (recipient.digest, kind._value_)
         if key in self._notified:
             return None
         self._notified.add(key)
-        note = Notification(recipient, kind, day, risk_class)
+        note = Notification(recipient, kind, self._clock.current_day, risk_class)
         self.notifications.append(note)
         return note
 
@@ -433,8 +437,7 @@ class Registry:
         window = self._far_windows.get(handle)
         if window is None and self._q_end[handle]:
             window = Quarantine(self._q_start[handle], self._q_end[handle])
-        status = HealthStatus(self._stage[handle], window)
-        return DeviceRecord(self._ids[handle], status, self._registered_day[handle])
+        return DeviceRecord(self._ids[handle], self._stage[handle], window, self._registered_day[handle])
 
     @property
     def contact_graph(self) -> Mapping[DeviceId, ContactList]:
@@ -445,6 +448,12 @@ class Registry:
     def contact_list(self, device: DeviceId) -> ContactList:
         return self._contact_list(self._resolve(device))
 
+    def _owner_days(self, owner: int) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+        """(day, peers, slots) of the owner's sealed contact days, ascending, then
+        of the clock day: the one walk over an owner's contacts."""
+        for day in (*self._contact_days[owner], self.clock.current_day):
+            yield day, *self._pairs(owner, day)
+
     def _contact_list(self, owner: int) -> ContactList:
         """The owner's records as a ContactList."""
         ids = self._ids
@@ -454,8 +463,8 @@ class Registry:
             ContactRecord(
                 peer=ids[peer], day=day, distance=distances[slot], duration=durations[slot]
             )
-            for day in (*self._contact_days[owner], self.clock.current_day)
-            for peer, slot in zip(*self._pairs(owner, day))
+            for day, peers, slots in self._owner_days(owner)
+            for peer, slot in zip(peers, slots)
         )
         return ContactList(ids[owner], records)
 
@@ -484,11 +493,9 @@ class Registry:
         hexes = self._hexes
         distances = self._min_distance
         durations = self._total_duration
-        today = self.clock.current_day
         for owner in sorted(range(len(hexes)), key=hexes.__getitem__):
             owner_hex = hexes[owner]
-            for day in (*self._contact_days[owner], today):
-                peers, slots = self._pairs(owner, day)
+            for day, peers, slots in self._owner_days(owner):
                 for peer_hex, slot in sorted(zip(map(hexes.__getitem__, peers), slots)):
                     yield owner_hex, peer_hex, day, distances[slot], durations[slot]
 
@@ -591,13 +598,13 @@ class Registry:
         notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
-            notes.append(self._emit(device, NotificationKind.STATUS_POSITIVE, day))
+            notes.append(self._emit(device, NotificationKind.STATUS_POSITIVE))
             # Brief contacts are dropped from the index case's own records only.
             brief = partial(self._peers_on, brief_of=handle)
             graph = _RegistryView(self, self._contact_list, peers_on=brief)
             for contact in trace_co_contacts(device, graph, self.clock):
                 self._quarantine(self._handle[contact.digest], day)
-                notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK, day))
+                notes.append(self._emit(contact, NotificationKind.CONTACT_AT_RISK))
         self._log(
             "status_updated", self._hexes[handle], "ok", code=otc_code, status=new_stage.value
         )
@@ -620,7 +627,7 @@ class Registry:
     def quarantine_mask(self, day: int) -> np.ndarray:
         """Whether each device is quarantined on `day`, in registration order.
 
-        Equal to `[rec.status.is_quarantined(day) for rec in devices.values()]`,
+        Equal to `[rec.is_quarantined(day) for rec in devices.values()]`,
         read as one comparison over the quarantine columns.  A day that is not
         an integer in [0, 2**63 - 1) raises ValidationError.
         """
@@ -740,7 +747,7 @@ class Registry:
             day = self.clock.current_day
             duration = self.policy.encounter_duration_s
             # Every sum the bookings below make is checked before the first one.
-            booked = self._today.get(own, {})
+            booked = dict(zip(*self._pairs(own, day)))
             durations = self._total_duration
             sums = {h: durations[booked[h]] if h in booked else 0.0 for h, _ in registered}
             for handle, _ in registered:
@@ -759,7 +766,7 @@ class Registry:
         if registered:
             categories = [self._categorize(handle, day) for handle, _ in registered]
             risk_class = classify(score_from_arrays(categories, distances, weights))
-            note = self._emit(scanner, NotificationKind.AREA_RISK, day, risk_class=risk_class)
+            note = self._emit(scanner, NotificationKind.AREA_RISK, risk_class)
         self._log("scan", hexes[own], "ok", neighbors=logged, weights=list(weights.weights))
         return ScanResult(risk_class=risk_class, notification=note, neighbors_seen=len(registered))
 
@@ -805,9 +812,9 @@ class Registry:
         previous = self._last_checked[handle]
         self._last_checked[handle] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
-            note = self._emit(device, NotificationKind.STATUS_POSITIVE, day)
+            note = self._emit(device, NotificationKind.STATUS_POSITIVE)
         elif self._met_infected(handle, day):
-            note = self._emit(device, NotificationKind.CONTACT_AT_RISK, day)
+            note = self._emit(device, NotificationKind.CONTACT_AT_RISK)
         else:
             note = None
         self._log("status_check", self._hexes[handle], "ok")
@@ -835,12 +842,9 @@ class Registry:
         hexes = self._hexes
         for handle in sorted(range(len(hexes)), key=hexes.__getitem__):
             record = self._record(handle)
-            q = record.status.quarantine
+            q = record.quarantine
             q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
-            yield (
-                f"device|{hexes[handle]}|{record.status.stage.value}|{q_text}"
-                f"|{record.registered_day}"
-            )
+            yield f"device|{hexes[handle]}|{record.stage.value}|{q_text}|{record.registered_day}"
         for code in sorted(self.otcs):
             otc = self.otcs[code]
             yield f"otc|{code}|{otc.issued_day}|{int(otc.consumed)}"

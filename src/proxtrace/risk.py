@@ -95,10 +95,6 @@ class RiskClass(Enum):
     D = "High"
     E = "Very High"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 @contextlib.contextmanager
 def _in_float_range() -> Iterator[None]:
@@ -196,10 +192,6 @@ class CategoryDistribution:
         for n in self.cardinalities:
             if n < 0:
                 raise ValidationError("category cardinalities must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.cardinalities)
 
 
 def _descending_vectors(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:

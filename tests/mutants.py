@@ -166,6 +166,38 @@ MUTANTS = (
         ("tests/test_registry_golden.py::test_scripted_registry_matches_pins",),
     ),
     Mutant(
+        "owner-walk-lists-the-clock-day-twice",
+        "src/proxtrace/protocol.py",
+        "for day in (*self._contact_days[owner], self.clock.current_day):",
+        "for day in (*self._contact_days[owner], self.clock.current_day, self.clock.current_day):",
+        (
+            "tests/test_protocol.py::test_digest_matches_its_reference_at_any_line_count",
+            "tests/test_protocol.py::TestRegistryMachine::runTest",
+        ),
+    ),
+    Mutant(
+        "record-quarantine-end-inclusive",
+        "src/proxtrace/protocol.py",
+        "return self.quarantine is not None and self.quarantine.covers(day)",
+        "return self.quarantine is not None"
+        " and self.quarantine.start_day <= day <= self.quarantine.end_day",
+        ("tests/test_protocol.py::test_quarantine_mask_matches_each_record",),
+    ),
+    Mutant(
+        "notified-never-emptied",
+        "src/proxtrace/protocol.py",
+        "self._notified.clear()",
+        "pass",
+        ("tests/test_protocol.py::test_a_notice_is_suppressed_only_on_its_own_day",),
+    ),
+    Mutant(
+        "clock-takes-any-day",
+        "src/proxtrace/core.py",
+        "if not isinstance(self.current_day, Integral):",
+        "if False:",
+        ("tests/test_core.py::test_a_clock_day_is_a_non_negative_integer",),
+    ),
+    Mutant(
         "classify-band-edge-excluded",
         "src/proxtrace/risk.py",
         "if value <= edge:",

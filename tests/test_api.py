@@ -5,8 +5,8 @@ import proxtrace
 PUBLIC_NAMES = [
     "AlreadyRegisteredError", "AuthorizationError", "Category", "CategoryDistribution",
     "CompareResult", "CompareSummary", "ContactList", "ContactRecord", "CurvePoint",
-    "DEFAULT_WEIGHTS", "DayStats", "DeviceId", "DeviceRecord", "Event", "HealthStatus",
-    "InvalidOtcError", "NoObservationsError", "Notification", "NotificationKind", "Otc",
+    "DEFAULT_WEIGHTS", "DayStats", "DeviceId", "DeviceRecord", "Event", "InvalidOtcError",
+    "NoObservationsError", "Notification", "NotificationKind", "Otc",
     "OtcError", "OtcReplayError", "ProxTraceError", "Quarantine", "Registry",
     "RegistryPolicy", "RiskClass", "ScanResult", "ScoreRangeError", "SimClock",
     "SimConfig", "Stage", "SurfaceCell", "TransitionError", "UnknownDeviceError",

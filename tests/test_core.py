@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from proxtrace.core import (
     ContactList,
     ContactRecord,
     DeviceId,
-    HealthStatus,
     Quarantine,
     SimClock,
     Stage,
@@ -77,7 +77,7 @@ def test_device_id_width_enforced():
 
 
 # -------------------------------------------------------------------------
-# health status
+# health stages
 # -------------------------------------------------------------------------
 
 def test_stage_chain_is_forward_only():
@@ -94,17 +94,8 @@ def test_stage_chain_is_forward_only():
             validate_transition(*bad)
 
 
-def test_health_status_with_stage_validates():
-    status = HealthStatus(Stage.SUSCEPTIBLE)
-    infected = status.with_stage(Stage.INFECTED)
-    assert infected.stage is Stage.INFECTED
-    with pytest.raises(TransitionError):
-        infected.with_stage(Stage.SUSCEPTIBLE)
-
-
 def test_quarantine_window_semantics():
-    q = Quarantine.starting(5)
-    assert q.days == 10
+    q = Quarantine(5, 15)
     assert q.covers(5) and q.covers(14)
     assert not q.covers(4) and not q.covers(15)
     with pytest.raises(ValidationError):
@@ -190,13 +181,25 @@ def test_on_day_and_since_filters():
 # -------------------------------------------------------------------------
 
 def test_clock_is_monotonic():
-    clock = SimClock(0)
-    assert clock.tick().current_day == 1
-    assert clock.tick(5).current_day == 5
-    with pytest.raises(ValidationError):
-        clock.tick(0)
+    assert SimClock().current_day == 0
     with pytest.raises(ValidationError):
         SimClock(-1)
+
+
+@pytest.mark.parametrize(
+    "day",
+    [2.5, 3.0, float("nan"), float("inf"), "3", None, np.float64(3.0), np.int64(-1)],
+    ids=["fraction", "whole-float", "nan", "inf", "text", "none", "numpy-float", "numpy-negative"],
+)
+def test_a_clock_day_is_a_non_negative_integer(day):
+    with pytest.raises(ValidationError):
+        SimClock(day)
+
+
+def test_a_clock_stores_a_numpy_day_as_int():
+    clock = SimClock(np.int64(5))
+    assert type(clock.current_day) is int
+    assert clock == SimClock(5)
 
 
 # -------------------------------------------------------------------------

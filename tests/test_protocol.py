@@ -112,7 +112,7 @@ def test_register_consumes_code():
     assert otc.consumed
     assert record.device in reg.devices
     assert reg.devices[record.device] == record
-    assert record.status.stage is Stage.SUSCEPTIBLE
+    assert record.stage is Stage.SUSCEPTIBLE
     # anything else is absent: an unregistered id, or not an id at all
     assert hash_identifier("user-b") not in reg.devices
     assert "x" not in reg.devices
@@ -176,7 +176,7 @@ def test_devices_view_is_read_only_and_in_registration_order():
     # both views read live state, not a snapshot taken when they were made
     reg.record_encounter(ids[0], ids[2], 2.0)
     reg.update_status(reg.issue_otc(CRED).code, ids[2], Stage.INFECTED)
-    assert devices[ids[2]].status.stage is Stage.INFECTED
+    assert devices[ids[2]].stage is Stage.INFECTED
     assert [record.peer for record in graph[ids[0]].records] == [ids[2]]
     assert [record.peer for record in graph[ids[2]].records] == [ids[0]]
 
@@ -294,10 +294,10 @@ def test_infection_cascade_notifies_and_quarantines():
 
     window = Quarantine(start_day=3, end_day=3 + reg.policy.quarantine_days)
     for dev in (a, b, c):
-        assert reg.devices[dev].status.quarantine == window
-    assert reg.devices[d].status.quarantine is None
-    assert reg.devices[a].status.stage is Stage.INFECTED
-    assert reg.devices[b].status.stage is Stage.SUSCEPTIBLE
+        assert reg.devices[dev].quarantine == window
+    assert reg.devices[d].quarantine is None
+    assert reg.devices[a].stage is Stage.INFECTED
+    assert reg.devices[b].stage is Stage.SUSCEPTIBLE
 
 
 def test_cascade_quarantine_set_is_exactly_device_plus_traced():
@@ -305,7 +305,7 @@ def test_cascade_quarantine_set_is_exactly_device_plus_traced():
     otc = reg.issue_otc(CRED)
     reg.advance_clock(SimClock(2))
     reg.update_status(otc.code, a, Stage.INFECTED)
-    quarantined = {dev for dev, rec in reg.devices.items() if rec.status.quarantine is not None}
+    quarantined = {dev for dev, rec in reg.devices.items() if rec.quarantine is not None}
     assert quarantined == {a, b, c}
 
 
@@ -313,14 +313,14 @@ def test_later_cascade_extends_quarantine():
     reg, a, b, c, d = cascade_registry()
     reg.advance_clock(SimClock(2))
     reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
-    assert reg.devices[b].status.quarantine == Quarantine(3, 13)
+    assert reg.devices[b].quarantine == Quarantine(3, 13)
 
     # another case traces b again two days later: window replaced, longer end
     reg.record_encounter(d, b, 2.0)
     reg.advance_clock(SimClock(4))
     reg.update_status(reg.issue_otc(CRED).code, d, Stage.INFECTED)
-    assert reg.devices[b].status.quarantine == Quarantine(5, 15)
-    assert reg.devices[a].status.quarantine == Quarantine(3, 13)  # untouched
+    assert reg.devices[b].quarantine == Quarantine(5, 15)
+    assert reg.devices[a].quarantine == Quarantine(3, 13)  # untouched
 
 
 # (operation, a, b): enrol a device, device a meets device b, device a reports
@@ -339,7 +339,7 @@ def mask_probe_days(reg: Registry) -> list[int]:
     """Day 0, today, and the days around each window's bounds that the mask answers."""
     days = {0, reg.clock.current_day}
     for record in reg.devices.values():
-        window = record.status.quarantine
+        window = record.quarantine
         if window is not None:
             days |= {window.start_day - 1, window.start_day, window.end_day - 1, window.end_day}
     return sorted(day for day in days if 0 <= day < 2**63 - 1)
@@ -359,14 +359,14 @@ def test_quarantine_mask_matches_each_record(quarantine_days, ops):
                 reg.record_encounter(left, right, 2.0)
         elif op == "report":
             device = people[a % len(people)]
-            if reg.devices[device].status.stage is Stage.SUSCEPTIBLE:
+            if reg.devices[device].stage is Stage.SUSCEPTIBLE:
                 reg.update_status(reg.issue_otc(CRED).code, device, Stage.INFECTED)
         else:
             reg.advance_clock(SimClock(reg.clock.current_day + (2**63 - 3 if a == 7 else a % 3)))
         for day in mask_probe_days(reg):
             mask = reg.quarantine_mask(day)
             assert mask.dtype == bool
-            assert mask.tolist() == [rec.status.is_quarantined(day) for rec in reg.devices.values()]
+            assert mask.tolist() == [rec.is_quarantined(day) for rec in reg.devices.values()]
 
 
 def test_quarantine_mask_follows_an_extended_window_and_later_registrations():
@@ -396,7 +396,7 @@ def test_a_window_past_the_day_columns_stays_exact():
     reg.advance_clock(SimClock(2))
     reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED)  # traces a
     near_window = Quarantine(3, 3 + span)
-    assert reg.devices[a].status.quarantine == near_window
+    assert reg.devices[a].quarantine == near_window
     far = span + 5
     reg.advance_clock(SimClock(far))
     reg.record_encounter(a, c, 2.0)
@@ -404,7 +404,7 @@ def test_a_window_past_the_day_columns_stays_exact():
     reg.update_status(reg.issue_otc(CRED).code, c, Stage.INFECTED)  # traces a again
     far_window = Quarantine(far + 3, far + 3 + span)
     windows = {a: far_window, b: near_window, c: far_window}
-    assert {device: reg.devices[device].status.quarantine for device in windows} == windows
+    assert {device: reg.devices[device].quarantine for device in windows} == windows
     stages = {a: "susceptible", b: "infected", c: "infected"}
     assert sorted(line for line in reg._state_lines() if line.startswith("device|")) == sorted(
         f"device|{device.hex}|{stages[device]}|{window.start_day},{window.end_day}|0"
@@ -450,7 +450,7 @@ def test_infection_without_contacts_notifies_only_self():
     a = enroll(reg, "a")
     notes = reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     assert [n.kind for n in notes] == [NotificationKind.STATUS_POSITIVE]
-    assert reg.devices[a].status.quarantine is not None
+    assert reg.devices[a].quarantine is not None
 
 
 def test_invalid_transition_keeps_code_fresh():
@@ -463,7 +463,7 @@ def test_invalid_transition_keeps_code_fresh():
     assert not otc.consumed
     reg.update_status(otc.code, a, Stage.RECOVERED)  # same code, valid move
     assert otc.consumed
-    assert reg.devices[a].status.stage is Stage.RECOVERED
+    assert reg.devices[a].stage is Stage.RECOVERED
 
 
 def test_update_unknown_device_keeps_code_fresh():
@@ -498,6 +498,57 @@ def test_only_advance_clock_moves_the_clock():
     with pytest.raises(AttributeError):
         reg.clock = SimClock(3)
     assert reg.clock == SimClock(0)
+
+
+class _DuckClock:
+    """Has a SimClock's one field, but none of its checks."""
+
+    def __init__(self, day):
+        self.current_day = day
+
+
+@pytest.mark.parametrize(
+    "make_clock",
+    [
+        lambda: SimClock(float("nan")),
+        lambda: SimClock(0.5),
+        lambda: SimClock(2.5),
+        lambda: SimClock("3"),
+        lambda: 5,
+        lambda: np.int64(5),
+        lambda: _DuckClock(float("nan")),
+        lambda: _DuckClock(0.5),
+        lambda: _DuckClock(5),
+    ],
+    ids=["nan", "half", "fraction", "text", "int", "numpy-int", "duck-nan", "duck-half", "duck-5"],
+)
+def test_a_clock_that_is_not_a_whole_day_changes_no_state(make_clock):
+    reg, a, b, c, d = cascade_registry()
+    before = reg.state_digest()
+    with pytest.raises(ValidationError):
+        reg.advance_clock(make_clock())
+    assert reg.clock == SimClock(2)
+    assert reg.state_digest() == before
+    # the clock day's contact still reads back, on its own day
+    assert [(rec.peer, rec.day) for rec in reg.contact_list(c)] == [(b, 2)]
+    assert reg.status_checker_tick(a) is None
+
+
+def test_a_registry_on_numpy_days_replays_to_its_live_digest(tmp_path):
+    reg = make_registry(policy=RegistryPolicy(quarantine_days=2**63))
+    a, b, c = (enroll(reg, t) for t in "abc")
+    for day in np.arange(1, 4, dtype=np.int64):
+        reg.advance_clock(SimClock(day))
+        reg.record_encounter(a, b, 2.0)
+        reg.record_encounter(b, c, 1.0)
+        reg.status_checker_tick(c)
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
+    assert {type(event.day) for event in reg.events} == {int}
+    assert reg.devices[b].quarantine == Quarantine(4, 4 + 2**63)
+    path = tmp_path / "events.csv"
+    write_event_log(reg.events, path)
+    replayed = Registry.replay(read_event_log(path), [CRED], policy=reg.policy)
+    assert replayed.state_digest() == reg.state_digest()
 
 
 # -------------------------------------------------------------------------
@@ -853,6 +904,27 @@ def test_checker_reports_stage_flip_once():
     assert reg.status_checker_tick(a) is None
 
 
+def test_a_notice_is_suppressed_only_on_its_own_day():
+    reg = make_registry()
+    a, b = enroll(reg, "a"), enroll(reg, "b")
+    reg.record_encounter(a, b, 2.0)
+    reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED)
+    assert reg.status_checker_tick(a).kind is NotificationKind.CONTACT_AT_RISK
+    assert reg.status_checker_tick(a) is None
+    reg.advance_clock(SimClock(1))
+    note = reg.status_checker_tick(a)
+    assert (note.kind, note.day) == (NotificationKind.CONTACT_AT_RISK, 1)
+    assert reg.status_checker_tick(a) is None
+    for day in range(2, 52):
+        reg.advance_clock(SimClock(day))
+        assert reg.status_checker_tick(a) is not None
+        assert reg.scan_handshake(a, [(b, 2.0)]).notification is not None
+        assert reg.scan_handshake(a, [(b, 2.0)]).notification is None
+    today = [n for n in reg.notifications if n.day == 51]
+    assert len(today) == 2
+    assert reg._notified == {(n.recipient.digest, n.kind.value) for n in today}
+
+
 def test_checker_requires_registration():
     reg = make_registry()
     with pytest.raises(UnknownDeviceError):
@@ -1039,10 +1111,10 @@ def reference_state_lines(reg: Registry) -> list[str]:
     """state_digest's lines from the public views, its contact rows sorted as whole tuples."""
     lines = []
     for record in sorted(reg.devices.values(), key=lambda r: r.device.digest):
-        q = record.status.quarantine
+        q = record.quarantine
         q_text = f"{q.start_day},{q.end_day}" if q is not None else "-"
         lines.append(
-            f"device|{record.device.hex}|{record.status.stage.value}|{q_text}|{record.registered_day}"
+            f"device|{record.device.hex}|{record.stage.value}|{q_text}|{record.registered_day}"
         )
     lines += [f"otc|{c}|{reg.otcs[c].issued_day}|{int(reg.otcs[c].consumed)}" for c in sorted(reg.otcs)]
     contacts = sorted(
@@ -1528,7 +1600,7 @@ def test_cascade_agrees_with_trace_oracle(days, min_duration):
         for left, right, distance, duration in encounters:
             if left != right:
                 reg.record_encounter(people[left], people[right], distance, duration)
-        if reporter is None or reg.devices[people[reporter]].status.stage is not Stage.SUSCEPTIBLE:
+        if reporter is None or reg.devices[people[reporter]].stage is not Stage.SUSCEPTIBLE:
             continue
         case = people[reporter]
         graph = {dev: reg.contact_graph[dev] for dev in reg.contact_graph}
@@ -1541,8 +1613,8 @@ def test_cascade_agrees_with_trace_oracle(days, min_duration):
         )
         expected = trace_co_contacts(case, graph, reg.clock)
         notes = reg.update_status(reg.issue_otc(CRED).code, case, Stage.INFECTED)
-        window = Quarantine.starting(day + 1, reg.policy.quarantine_days)
-        quarantined = {dev for dev, rec in reg.devices.items() if rec.status.quarantine == window}
+        window = Quarantine(day + 1, day + 1 + reg.policy.quarantine_days)
+        quarantined = {dev for dev, rec in reg.devices.items() if rec.quarantine == window}
         assert quarantined == {case, *expected}
         at_risk = [n.recipient for n in notes if n.kind is NotificationKind.CONTACT_AT_RISK]
         assert at_risk == list(expected)
@@ -1727,7 +1799,7 @@ def reference_category(reg: Registry, device: DeviceId, day: int) -> int:
     first_day = day - reg.policy.contact_window_days
 
     def infected(d):
-        return reg.devices[d].status.stage is Stage.INFECTED
+        return reg.devices[d].stage is Stage.INFECTED
 
     def window_peers(d):
         return [r.peer for r in reg.contact_list(d).records if first_day <= r.day <= day]
@@ -1771,7 +1843,7 @@ def test_categories_match_the_reference_on_random_graphs(window, stages, events)
         if a != b:
             reg.record_encounter(devices[a], devices[b], 1.0)
         else:
-            stage = reg.devices[devices[a]].status.stage
+            stage = reg.devices[devices[a]].stage
             if stage in _NEXT_STAGE:
                 reg.update_status(reg.issue_otc(CRED).code, devices[a], _NEXT_STAGE[stage])
         check()
@@ -1913,7 +1985,7 @@ class RegistryMachine(RuleBasedStateMachine):
     @invariant()
     def quarantine_only_extends(self):
         for device, record in self.registry.devices.items():
-            window = record.status.quarantine
+            window = record.quarantine
             before = self.windows.get(device)
             if before is not None:
                 assert window is not None and window.end_day >= before.end_day

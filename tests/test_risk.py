@@ -240,8 +240,8 @@ def test_out_of_range_scores_rejected():
 
 
 def test_labels():
-    assert RiskClass.A.label == "Very Low"
-    assert RiskClass.E.label == "Very High"
+    assert RiskClass.A.value == "Very Low"
+    assert RiskClass.E.value == "Very High"
 
 
 @settings(max_examples=200, deadline=None)

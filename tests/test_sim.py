@@ -337,7 +337,7 @@ def test_app_arm_contacts_match_brute_force_pairs():
     index = {device: i for i, device in enumerate(world.devices)}
     isolated_days = 0
     for day in range(7):
-        free = [not registry.devices[d].status.is_quarantined(day) for d in world.devices]
+        free = [not registry.devices[d].is_quarantined(day) for d in world.devices]
         isolated_days += not all(free)
         world, _ = step(world)
         pos = world.positions
@@ -392,7 +392,7 @@ def test_app_arm_matches_the_reference_model(config):
     want_stats, want_windows = reference_run(config)
     assert stats == want_stats
     records = worlds[0].registry.devices
-    windows = [records[device].status.quarantine for device in worlds[0].devices]
+    windows = [records[device].quarantine for device in worlds[0].devices]
     assert [(q.start_day, q.end_day) if q else None for q in windows] == want_windows
 
 
