@@ -35,6 +35,17 @@ CONTACT_WINDOW_DAYS = 2
 # `x <= _FLOAT_MAX` fails for an int too large for a float, where `x < math.inf` holds.
 _FLOAT_MAX = sys.float_info.max
 
+# Every day number and quarantine length is below this, so a window's end
+# day, day + 1 + quarantine_days, fits a C int64 exactly.
+_DAY_LIMIT = 2**62
+
+
+def _is_day(value: object) -> bool:
+    """Whether a value is a day number or a count of days: an integer in [0, 2**62).
+
+    An int skips the isinstance check, which costs a graph row about 0.4 us."""
+    return (type(value) is int or isinstance(value, Integral)) and 0 <= value < _DAY_LIMIT
+
 
 # =========================================================================
 # Device identity
@@ -179,8 +190,8 @@ class ContactRecord:
 
 def _check_contact(day: int, distance: float, duration: float) -> None:
     """The range checks of one ContactRecord, also run on graph rows that build none."""
-    if day < 0:
-        raise ValidationError("contact day must be non-negative")
+    if not _is_day(day):
+        raise ValidationError(f"contact day {day!r} must be an integer in [0, 2**62)")
     if not 0 < distance < math.inf:
         raise ValidationError("contact distance must be strictly positive and finite")
     if not 0 <= duration < math.inf:
@@ -239,15 +250,13 @@ class ContactList:
 
 @dataclass(frozen=True)
 class SimClock:
-    """Integer day counter, stored as int; within-day time exists only as encounter duration."""
+    """Integer day counter in [0, 2**62), stored as int; within-day time exists only as encounter duration."""
 
     current_day: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.current_day, Integral):
-            raise ValidationError(f"clock day {self.current_day!r} is not an integer")
-        if self.current_day < 0:
-            raise ValidationError("day counter cannot be negative")
+        if not _is_day(self.current_day):
+            raise ValidationError(f"clock day {self.current_day!r} must be an integer in [0, 2**62)")
         object.__setattr__(self, "current_day", int(self.current_day))
 
 

@@ -33,7 +33,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -53,6 +52,7 @@ from .core import (
     SimClock,
     Stage,
     _FLOAT_MAX,
+    _is_day,
     _unreadable_text_is_invalid,
     hash_identifier,
     hex_interner,
@@ -73,11 +73,6 @@ from .tracing import trace_co_contacts
 # Token space is 2**128: far beyond the 2**64 floor needed to make blind
 # guessing pointless, while staying a compact 32-hex-char string.
 _OTC_BITS = 128
-
-# The quarantine columns hold C int64 days, so a window bound past this
-# limit is stored as the limit; quarantine_mask answers only for days below
-# it, where a stored bound compares exactly as the true one.
-_MASK_DAY_LIMIT = 2**63 - 1
 
 
 # =========================================================================
@@ -137,14 +132,8 @@ class RegistryPolicy:
 
     def __post_init__(self) -> None:
         checks = [
-            (
-                "quarantine_days",
-                isinstance(self.quarantine_days, Integral) and self.quarantine_days >= 0,
-            ),
-            (
-                "contact_window_days",
-                isinstance(self.contact_window_days, Integral) and self.contact_window_days >= 0,
-            ),
+            ("quarantine_days", _is_day(self.quarantine_days)),
+            ("contact_window_days", _is_day(self.contact_window_days)),
             ("bluetooth_range_m", 0 < self.bluetooth_range_m <= _FLOAT_MAX),
             ("min_contact_duration_s", 0 <= self.min_contact_duration_s <= _FLOAT_MAX),
             ("encounter_duration_s", 0 <= self.encounter_duration_s <= _FLOAT_MAX),
@@ -293,12 +282,9 @@ class Registry:
         self._infected: list[bool] = []
         self._registered_day: list[int] = []
         self._last_checked: list[Stage] = []
-        # Each device's quarantine window as [start, end) day columns, (0, 0)
-        # for none; a bound past _MASK_DAY_LIMIT is stored as the limit, and
-        # a window whose end reaches it is kept exactly in _far_windows too.
-        self._q_start = array("q")
+        # The end day of each device's quarantine window, 0 for none.  Every
+        # window lasts policy.quarantine_days, so it starts at end minus that.
         self._q_end = array("q")
-        self._far_windows: dict[int, Quarantine] = {}
         # The sealed days on which each device has a contact, ascending.
         self._contact_days: list[list[int]] = []
         # The contact graph.  A slot indexes the closest distance and summed
@@ -434,9 +420,8 @@ class Registry:
 
     def _record(self, handle: int) -> DeviceRecord:
         """The device's columns as a DeviceRecord."""
-        window = self._far_windows.get(handle)
-        if window is None and self._q_end[handle]:
-            window = Quarantine(self._q_start[handle], self._q_end[handle])
+        end = self._q_end[handle]
+        window = Quarantine(end - self.policy.quarantine_days, end) if end else None
         return DeviceRecord(self._ids[handle], self._stage[handle], window, self._registered_day[handle])
 
     @property
@@ -558,7 +543,6 @@ class Registry:
         self._infected.append(stage is Stage.INFECTED)
         self._registered_day.append(self.clock.current_day)
         self._last_checked.append(stage)
-        self._q_start.append(0)
         self._q_end.append(0)
         self._contact_days.append([])
         self._log("user_registered", hex_text, "ok", code=otc_code, status=stage.value)
@@ -612,30 +596,24 @@ class Registry:
 
     def _quarantine(self, handle: int, day: int) -> None:
         # Isolation takes effect the day after notification and runs for the
-        # policy duration; a later notification replaces a shorter window.
-        if self.policy.quarantine_days <= 0:
-            return  # zero-day policy means notify-only, no isolation window
-        start, end = day + 1, day + 1 + self.policy.quarantine_days
-        far = self._far_windows.get(handle)
-        if end <= (self._q_end[handle] if far is None else far.end_day):
-            return
-        if end >= _MASK_DAY_LIMIT:
-            self._far_windows[handle] = Quarantine(start, end)
-        self._q_start[handle] = min(start, _MASK_DAY_LIMIT)
-        self._q_end[handle] = min(end, _MASK_DAY_LIMIT)
+        # policy duration; a later notification replaces a window that ends
+        # sooner.  A zero-day policy means notify-only, no isolation window.
+        end = day + 1 + self.policy.quarantine_days
+        if self.policy.quarantine_days and end > self._q_end[handle]:
+            self._q_end[handle] = end
 
     def quarantine_mask(self, day: int) -> np.ndarray:
         """Whether each device is quarantined on `day`, in registration order.
 
         Equal to `[rec.is_quarantined(day) for rec in devices.values()]`,
-        read as one comparison over the quarantine columns.  A day that is not
-        an integer in [0, 2**63 - 1) raises ValidationError.
+        read as one comparison over the end-day column: a window is active
+        from end - quarantine_days up to, not including, end.  A day that is
+        not an integer in [0, 2**62) raises ValidationError.
         """
-        if not isinstance(day, Integral) or not 0 <= day < _MASK_DAY_LIMIT:
-            raise ValidationError(f"day {day!r} must be an integer in [0, 2**63 - 1)")
-        start = np.frombuffer(self._q_start, dtype=np.int64)
+        if not _is_day(day):
+            raise ValidationError(f"day {day!r} must be an integer in [0, 2**62)")
         end = np.frombuffer(self._q_end, dtype=np.int64)
-        return (start <= day) & (day < end)
+        return (day < end) & (end <= int(day) + self.policy.quarantine_days)
 
     # ------------------------------------------------------------------
     # encounters and scans
@@ -895,21 +873,21 @@ class Registry:
         parse_id = hex_interner()
         for position, event in enumerate(events, start=1):
             today = registry.clock.current_day
-            if event.day < today:
+            try:
+                if type(event.day) is not int or event.day != today:
+                    clock = SimClock(event.day)  # a day SimClock refuses fails here
+                    if clock.current_day < today:
+                        raise ValidationError(
+                            f"dated day {event.day}, but the log has reached day {today}"
+                        )
+                    registry.advance_clock(clock)
+                if event.outcome == "ok":
+                    registry._replay_one(event, parse_id)
+            except (KeyError, ValueError, TypeError, ArithmeticError, ProxTraceError) as exc:
                 raise ValidationError(
                     f"event {position}: cannot replay {event.operation!r} "
-                    f"(dated day {event.day}, but the log has reached day {today})"
-                )
-            if event.day > today:
-                registry.advance_clock(SimClock(event.day))
-            if event.outcome == "ok":
-                try:
-                    registry._replay_one(event, parse_id)
-                except (KeyError, ValueError, TypeError, ArithmeticError, ProxTraceError) as exc:
-                    raise ValidationError(
-                        f"event {position}: cannot replay {event.operation!r} "
-                        f"({type(exc).__name__}: {exc})"
-                    ) from exc
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
         return registry
 
     def _replay_one(self, event: Event, parse_id: Callable[[str], DeviceId]) -> None:

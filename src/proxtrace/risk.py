@@ -115,6 +115,8 @@ def score_from_arrays(
     categories = np.asarray(categories)
     if categories.size == 0:
         raise NoObservationsError("area score is undefined with zero observations")
+    if categories.dtype.kind not in "iu":
+        raise ValidationError(f"category indices must be integers, got {categories.dtype} values")
     if int(categories.min()) < 0:
         raise ValidationError(f"category index {int(categories.min())} is negative")
     if int(categories.max()) >= len(weights):
@@ -145,14 +147,17 @@ def assess_area(
     Individual i has risk category categories[i] (an index into weights)
     and lies distances[i] metres from the scanner.  Raises
     NoObservationsError when nobody was observed, and ValidationError when
-    the radius is not finite and positive or a distance lies outside
-    (0, radius].
+    the radius is not finite and positive, a distance lies outside
+    (0, radius], or an input is not numeric.
     """
     if not 0 < radius <= _FLOAT_MAX:
         raise ValidationError(f"area radius must be finite and strictly positive, got {radius}")
-    d = np.asarray(distances, dtype=float)
+    d = np.asarray(distances)
     if d.size == 0:
         raise NoObservationsError("area score is undefined with zero observations")
+    if d.dtype.kind not in "iuf":
+        raise ValidationError(f"distances must be real numbers, got {d.dtype} values")
+    d = d.astype(float, copy=False)
     if len(categories) != d.size:
         raise ValidationError(f"got {len(categories)} categories for {d.size} distances")
     outside = ~((d > 0) & (d <= radius))
@@ -167,7 +172,9 @@ _BAND_EDGES = ((0.2, "A"), (0.4, "B"), (0.6, "C"), (0.8, "D"), (1.0, "E"))
 
 
 def classify(score: float) -> RiskClass:
-    """Map a score in [0, 1] onto its band; anything outside is an error."""
+    """Map a score in [0, 1] onto its band; anything outside, or not a real number, is an error."""
+    if not isinstance(score, numbers.Real):
+        raise ValidationError(f"risk score {score!r} is not a real number")
     value = float(score)
     if 0.0 <= value <= 1.0:
         for edge, name in _BAND_EDGES:

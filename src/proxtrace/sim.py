@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _FLOAT_MAX, DeviceId, SimClock, Stage, _pool_map, hash_identifier
+from .core import _FLOAT_MAX, DeviceId, SimClock, Stage, _is_day, _pool_map, hash_identifier
 from .errors import ValidationError
 from .protocol import Registry, RegistryPolicy
 
@@ -119,7 +119,7 @@ class SimConfig:
             ("infection_probability", 0.0 <= self.infection_probability <= 1.0),
             ("symptom_onset_delay", self.symptom_onset_delay >= 0),
             ("quarantine_start_delay", self.quarantine_start_delay >= 0),
-            ("quarantine_days", self.quarantine_days >= 0),
+            ("quarantine_days", _is_day(self.quarantine_days)),
             ("infectious_period", self.infectious_period >= 1),
             ("max_days", 1 <= self.max_days <= _MAX_DAYS),
             ("encounter_duration_s", 0 <= self.encounter_duration_s <= _FLOAT_MAX),

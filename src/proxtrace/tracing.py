@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .core import ContactList, DeviceId, SimClock, _contact_lists, _contact_rows
-from .errors import UnknownDeviceError
+from .errors import UnknownDeviceError, ValidationError
 
 # Days between a contact with the index case and the day the trace runs.
 TRACE_LOOKBACK_DAYS = 2
@@ -38,6 +38,10 @@ def trace_co_contacts(
     each device appears at most once, in first-discovery order.  A registry
     view hands over its own peer reader, so no ContactList is built for it.
     """
+    if not isinstance(index_case, DeviceId):
+        raise ValidationError(f"index case {index_case!r} is not a DeviceId")
+    if not isinstance(clock, SimClock):
+        raise ValidationError(f"trace clock must be a SimClock, got {clock!r}")
     if index_case not in graph:
         raise UnknownDeviceError(f"index case {index_case.hex} not present in the contact graph")
     peers_on = getattr(graph, "_peers_on", None) or partial(_listed_peers, graph)

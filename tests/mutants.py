@@ -59,6 +59,9 @@ SEAL_TESTS = (
     "tests/test_protocol.py::TestRegistryMachine::runTest",
 )
 
+# A registry cascade against the trace oracle over the public contact graph.
+CASCADE_TESTS = ("tests/test_protocol.py::test_cascade_agrees_with_trace_oracle",)
+
 MUTANTS = (
     Mutant(
         "contact-lists-keyed-on-the-peer",
@@ -152,11 +155,56 @@ MUTANTS = (
         ("tests/test_protocol.py::test_categories_match_the_reference_on_random_graphs",),
     ),
     Mutant(
-        "far-window-never-kept",
+        "record-window-start-off-by-one",
         "src/proxtrace/protocol.py",
-        "self._far_windows[handle] = Quarantine(start, end)",
-        "pass",
-        ("tests/test_protocol.py::test_a_window_past_the_day_columns_stays_exact",),
+        "Quarantine(end - self.policy.quarantine_days, end)",
+        "Quarantine(end - self.policy.quarantine_days + 1, end)",
+        ("tests/test_protocol.py::test_later_cascade_extends_quarantine",),
+    ),
+    Mutant(
+        "mask-misses-a-window-s-first-day",
+        "src/proxtrace/protocol.py",
+        "(end <= int(day) + self.policy.quarantine_days)",
+        "(end < int(day) + self.policy.quarantine_days)",
+        ("tests/test_protocol.py::test_quarantine_mask_matches_each_record",),
+    ),
+    Mutant(
+        "cascade-peers-in-insertion-order",
+        "src/proxtrace/protocol.py",
+        "return [self._ids[peer] for peer in sorted(peers, key=self._hexes.__getitem__)]",
+        "return [self._ids[peer] for peer in peers]",
+        CASCADE_TESTS,
+    ),
+    Mutant(
+        "cascade-keeps-brief-contacts",
+        "src/proxtrace/protocol.py",
+        "if owner == brief_of:",
+        "if False:",
+        CASCADE_TESTS,
+    ),
+    Mutant(
+        "cascade-drops-every-device-s-brief-contacts",
+        "src/proxtrace/protocol.py",
+        "if owner == brief_of:",
+        "if True:",
+        CASCADE_TESTS,
+    ),
+    Mutant(
+        "cascade-drops-contacts-of-exactly-the-minimum",
+        "src/proxtrace/protocol.py",
+        "if durations[slot] >= least]",
+        "if durations[slot] > least]",
+        CASCADE_TESTS,
+    ),
+    Mutant(
+        "trace-adds-a-peer-ahead-of-its-contacts",
+        "src/proxtrace/tracing.py",
+        "for device in (*peers_on(peer, today), peer):",
+        "for device in (peer, *peers_on(peer, today)):",
+        (
+            "tests/test_tracing.py::test_two_hop_example",
+            "tests/test_tracing.py::test_duplicates_collapse",
+        ),
     ),
     Mutant(
         "registered-day-recorded-as-0",
@@ -193,7 +241,7 @@ MUTANTS = (
     Mutant(
         "clock-takes-any-day",
         "src/proxtrace/core.py",
-        "if not isinstance(self.current_day, Integral):",
+        "if not _is_day(self.current_day):",
         "if False:",
         ("tests/test_core.py::test_a_clock_day_is_a_non_negative_integer",),
     ),

@@ -404,7 +404,7 @@ def test_trace_reports_a_bad_graph_ahead_of_a_bad_case_or_day(tmp_path):
     for case_hex, day, error in (
         ("zz", 4, "error: not a hex digest: 'zz'"),
         (a[:30], 4, "error: device digest must be exactly 16 bytes"),
-        (a, -1, "error: day counter cannot be negative"),
+        (a, -1, "error: clock day -1 must be an integer in [0, 2**62)"),
         ("zz", -1, "error: not a hex digest: 'zz'"),
     ):
         assert run_trace(bad, case_hex, day) == full_read_trace(bad, case_hex, day) == (1, [], [graph_error])
@@ -605,6 +605,22 @@ def test_simulate_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arm", ["both", "app"])
+def test_simulate_refuses_a_quarantine_past_the_day_bound_before_any_arm_runs(
+    tmp_path, capsys, monkeypatch, arm
+):
+    def no_world(config):
+        raise AssertionError("an arm ran")
+
+    monkeypatch.setattr(sim, "build_world", no_world)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quarantine_days = {2**62}\n")
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--arm", arm, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: invalid value for config field 'quarantine_days'\n"
+    assert not out.exists()
+
+
 # one valid, non-default value per SimConfig field, as written in a config file
 CONFIG_FILE_VALUES = {
     "population": ("50", 50),
@@ -725,7 +741,7 @@ def test_replay_tampered_log_exits_one(tmp_path, capsys, details, cause):
         (6, 1, {"duration": -5.0}, "ValidationError: duration must be non-negative"),
         (6, 1, {"duration": float("nan")}, "ValidationError: duration must be non-negative"),
         (7, 1, {"weights": [0.7, 0.2]}, "ValidationError: a scan needs 4 category weights, got 2"),
-        (6, 0, {}, "(dated day 0, but the log has reached day 1)"),
+        (6, 0, {}, "(ValidationError: dated day 0, but the log has reached day 1)"),
         (6, 1, {"distance": 10**400}, "OverflowError: int too large to convert to float"),
         (6, 1, {"duration": 10**400}, "OverflowError: int too large to convert to float"),
         (7, 1, {"neighbors": [[device("a").hex, 10**400]]}, "OverflowError: int too large"),

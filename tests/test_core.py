@@ -108,8 +108,9 @@ def test_quarantine_window_semantics():
 
 def test_contact_record_validation():
     peer = device("peer")
-    with pytest.raises(ValidationError):
-        ContactRecord(peer, day=-1, distance=1.0, duration=0.0)
+    for day in (-1, 1.5, 1.0, "3", None, 2**62):
+        with pytest.raises(ValidationError, match="contact day"):
+            ContactRecord(peer, day=day, distance=1.0, duration=0.0)
     with pytest.raises(ValidationError):
         ContactRecord(peer, day=0, distance=0.0, duration=0.0)  # zero distance rejected
     with pytest.raises(ValidationError):
@@ -188,8 +189,11 @@ def test_clock_is_monotonic():
 
 @pytest.mark.parametrize(
     "day",
-    [2.5, 3.0, float("nan"), float("inf"), "3", None, np.float64(3.0), np.int64(-1)],
-    ids=["fraction", "whole-float", "nan", "inf", "text", "none", "numpy-float", "numpy-negative"],
+    [2.5, 3.0, float("nan"), float("inf"), "3", None, np.float64(3.0), np.int64(-1), 2**62],
+    ids=[
+        "fraction", "whole-float", "nan", "inf", "text", "none", "numpy-float", "numpy-negative",
+        "past-the-bound",
+    ],
 )
 def test_a_clock_day_is_a_non_negative_integer(day):
     with pytest.raises(ValidationError):

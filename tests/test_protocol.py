@@ -324,8 +324,8 @@ def test_later_cascade_extends_quarantine():
 
 
 # (operation, a, b): enrol a device, device a meets device b, device a reports
-# infected, or the clock moves on a % 3 days; a = 7 jumps 2**63 - 3 days, so
-# windows also end past, and start past, the int64 day columns' limit
+# infected, or the clock moves on a % 3 days; a = 7 jumps to the last day a
+# clock can show, 2**62 - 1, so windows also end at the int64 column's limit
 mask_ops = st.lists(
     st.tuples(
         st.sampled_from(["enrol", "meet", "report", "advance"]),
@@ -342,11 +342,11 @@ def mask_probe_days(reg: Registry) -> list[int]:
         window = record.quarantine
         if window is not None:
             days |= {window.start_day - 1, window.start_day, window.end_day - 1, window.end_day}
-    return sorted(day for day in days if 0 <= day < 2**63 - 1)
+    return sorted(day for day in days if 0 <= day < 2**62)
 
 
 @settings(max_examples=150, deadline=None)
-@given(quarantine_days=st.sampled_from([0, 1, 3, 10, 2**63]), ops=mask_ops)
+@given(quarantine_days=st.sampled_from([0, 1, 3, 10, 2**62 - 1]), ops=mask_ops)
 def test_quarantine_mask_matches_each_record(quarantine_days, ops):
     reg = make_registry(policy=RegistryPolicy(quarantine_days=quarantine_days), log_events=False)
     people: list = []
@@ -362,7 +362,8 @@ def test_quarantine_mask_matches_each_record(quarantine_days, ops):
             if reg.devices[device].stage is Stage.SUSCEPTIBLE:
                 reg.update_status(reg.issue_otc(CRED).code, device, Stage.INFECTED)
         else:
-            reg.advance_clock(SimClock(reg.clock.current_day + (2**63 - 3 if a == 7 else a % 3)))
+            day = 2**62 - 1 if a == 7 else reg.clock.current_day + a % 3
+            reg.advance_clock(SimClock(min(day, 2**62 - 1)))
         for day in mask_probe_days(reg):
             mask = reg.quarantine_mask(day)
             assert mask.dtype == bool
@@ -386,10 +387,10 @@ def test_quarantine_mask_follows_an_extended_window_and_later_registrations():
     assert reg.quarantine_mask(15).tolist() == [False] * 5
 
 
-def test_a_window_past_the_day_columns_stays_exact():
-    # Windows ending past 2**63 - 1, one of them starting past it too: the
-    # mask's columns saturate, but each record and device line stays exact.
-    span = 2**63
+def test_a_window_at_the_day_bound_stays_exact(tmp_path):
+    # The longest policy, and a report on the last day a clock can show: the
+    # window ends on 2**63 - 1, the largest day the end-day column holds.
+    span = last = 2**62 - 1
     reg = make_registry(policy=RegistryPolicy(quarantine_days=span))
     a, b, c = (enroll(reg, tag) for tag in "abc")
     reg.record_encounter(a, b, 2.0)
@@ -397,26 +398,30 @@ def test_a_window_past_the_day_columns_stays_exact():
     reg.update_status(reg.issue_otc(CRED).code, b, Stage.INFECTED)  # traces a
     near_window = Quarantine(3, 3 + span)
     assert reg.devices[a].quarantine == near_window
-    far = span + 5
-    reg.advance_clock(SimClock(far))
+    reg.advance_clock(SimClock(last - 2))
     reg.record_encounter(a, c, 2.0)
-    reg.advance_clock(SimClock(far + 2))
+    reg.advance_clock(SimClock(last))
     reg.update_status(reg.issue_otc(CRED).code, c, Stage.INFECTED)  # traces a again
-    far_window = Quarantine(far + 3, far + 3 + span)
+    far_window = Quarantine(2**62, 2**63 - 1)
     windows = {a: far_window, b: near_window, c: far_window}
     assert {device: reg.devices[device].quarantine for device in windows} == windows
     stages = {a: "susceptible", b: "infected", c: "infected"}
-    assert sorted(line for line in reg._state_lines() if line.startswith("device|")) == sorted(
+    device_lines = sorted(
         f"device|{device.hex}|{stages[device]}|{window.start_day},{window.end_day}|0"
         for device, window in windows.items()
     )
+    assert sorted(line for line in reg._state_lines() if line.startswith("device|")) == device_lines
     assert reg.quarantine_mask(2).tolist() == [False, False, False]
     assert reg.quarantine_mask(3).tolist() == [False, True, False]
-    assert reg.quarantine_mask(span - 2).tolist() == [False, True, False]
-    assert Registry.replay(reg.events, [CRED], policy=reg.policy).state_digest() == reg.state_digest()
+    assert reg.quarantine_mask(last).tolist() == [False, True, False]
+    path = tmp_path / "events.csv"
+    write_event_log(reg.events, path)
+    replayed = Registry.replay(read_event_log(path), [CRED], policy=reg.policy)
+    assert {device: replayed.devices[device].quarantine for device in windows} == windows
+    assert replayed.state_digest() == reg.state_digest()
 
 
-@pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64])
+@pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64, 2**62])
 def test_quarantine_mask_rejects_a_day_it_cannot_answer(day):
     reg = make_registry()
     enroll(reg, "a")
@@ -535,7 +540,7 @@ def test_a_clock_that_is_not_a_whole_day_changes_no_state(make_clock):
 
 
 def test_a_registry_on_numpy_days_replays_to_its_live_digest(tmp_path):
-    reg = make_registry(policy=RegistryPolicy(quarantine_days=2**63))
+    reg = make_registry(policy=RegistryPolicy(quarantine_days=2**62 - 1))
     a, b, c = (enroll(reg, t) for t in "abc")
     for day in np.arange(1, 4, dtype=np.int64):
         reg.advance_clock(SimClock(day))
@@ -544,7 +549,7 @@ def test_a_registry_on_numpy_days_replays_to_its_live_digest(tmp_path):
         reg.status_checker_tick(c)
     reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
     assert {type(event.day) for event in reg.events} == {int}
-    assert reg.devices[b].quarantine == Quarantine(4, 4 + 2**63)
+    assert reg.devices[b].quarantine == Quarantine(4, 4 + 2**62 - 1)
     path = tmp_path / "events.csv"
     write_event_log(reg.events, path)
     replayed = Registry.replay(read_event_log(path), [CRED], policy=reg.policy)
@@ -1526,6 +1531,8 @@ def test_a_cascade_builds_no_contact_value(value_builds):
         ("quarantine_days", 2.5),
         ("contact_window_days", -1),
         ("contact_window_days", 1.5),
+        pytest.param("quarantine_days", 2**62, id="quarantine_days-2**62"),
+        pytest.param("contact_window_days", 2**62, id="contact_window_days-2**62"),
         ("bluetooth_range_m", 0.0),
         ("bluetooth_range_m", -1.0),
         ("bluetooth_range_m", float("inf")),
@@ -1672,6 +1679,16 @@ def test_replay_rejects_broken_preconditions(appended, day, error):
     position = len(reg.events) + len(extra)
     with pytest.raises(ValidationError, match=f"^event {position}: cannot replay .*{error}"):
         Registry.replay(reg.events + extra, [CRED])
+
+
+@pytest.mark.parametrize("outcome", ["ok", "OtcReplayError"])
+@pytest.mark.parametrize("day", ["3", 1.5, 2**62], ids=["text", "fraction", "past-the-bound"])
+def test_replay_names_the_position_of_a_bad_day(day, outcome):
+    # an ok event and a failure row alike: every event's day moves the clock
+    reg = reported_registry()
+    events = reg.events + [dataclasses.replace(reg.events[0], day=day, outcome=outcome)]
+    with pytest.raises(ValidationError, match=f"^event {len(events)}: cannot replay .*clock day"):
+        Registry.replay(events, [CRED])
 
 
 @pytest.mark.parametrize(

@@ -239,6 +239,35 @@ def test_out_of_range_scores_rejected():
             classify(bad)
 
 
+@pytest.mark.parametrize("score", ["0.5", None, b"0.5", [0.5]])
+def test_a_score_that_is_not_a_real_number_is_rejected(score):
+    with pytest.raises(ValidationError, match="not a real number"):
+        classify(score)
+
+
+def test_numpy_scores_and_integer_arrays_still_classify():
+    assert classify(np.float64(0.5)) is classify(np.float32(0.5)) is RiskClass.C
+    assert classify(np.int64(1)) is RiskClass.E
+    cats, dists = np.array([0, 3], dtype=np.int8), np.array([2, 4], dtype=np.int64)
+    assert assess_area(cats, dists) == assess_area([0, 3], [2.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "categories, distances, match",
+    [
+        (["A"], [1.0], "category indices must be integers"),
+        ([0.5], [1.0], "category indices must be integers"),
+        ([True], [1.0], "category indices must be integers"),
+        ([None], [1.0], "category indices must be integers"),
+        ([0], ["1.0"], "distances must be real numbers"),
+        ([0], [None], "distances must be real numbers"),
+    ],
+)
+def test_observations_of_the_wrong_type_are_rejected(categories, distances, match):
+    with pytest.raises(ValidationError, match=match):
+        assess_area(categories, distances)
+
+
 def test_labels():
     assert RiskClass.A.value == "Very Low"
     assert RiskClass.E.value == "Very High"

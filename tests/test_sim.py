@@ -88,6 +88,13 @@ def test_config_rejects_a_count_or_day_that_is_not_an_integer(field, value):
         SimConfig(**{"population": 3, "max_days": 2, field: value})
 
 
+def test_config_bounds_quarantine_days_as_the_registry_does():
+    # every window's end, day + 1 + quarantine_days, fits the registry's int64 column
+    with pytest.raises(ValidationError, match="invalid value for config field 'quarantine_days'"):
+        SimConfig(quarantine_days=2**62)
+    assert SimConfig(quarantine_days=2**62 - 1).quarantine_days == 2**62 - 1
+
+
 def test_config_stores_numpy_integers_as_int():
     config = SimConfig(population=np.int64(3), max_days=np.int32(2), seed=np.uint8(1))
     assert config == SimConfig(population=3, max_days=2, seed=1)

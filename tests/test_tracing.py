@@ -5,7 +5,7 @@ import random
 import pytest
 
 from proxtrace.core import ContactList, ContactRecord, SimClock, hash_identifier
-from proxtrace.errors import UnknownDeviceError
+from proxtrace.errors import UnknownDeviceError, ValidationError
 from proxtrace.tracing import TRACE_LOOKBACK_DAYS, trace_co_contacts
 
 from conftest import contacts, device
@@ -62,6 +62,15 @@ def test_unknown_index_case_raises():
     graph = {a: ContactList(owner=a)}
     with pytest.raises(UnknownDeviceError):
         trace_co_contacts(b, graph, SimClock(4))
+
+
+def test_a_trace_refuses_an_index_case_or_clock_of_the_wrong_type():
+    a = device("a")
+    graph = {a: ContactList(owner=a)}
+    with pytest.raises(ValidationError, match="is not a DeviceId"):
+        trace_co_contacts(a.hex, graph, SimClock(4))
+    with pytest.raises(ValidationError, match="must be a SimClock"):
+        trace_co_contacts(a, graph, 4)
 
 
 def test_peer_without_contact_list_still_reported():
