@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from numbers import Integral
@@ -43,8 +42,11 @@ _DAY_LIMIT = 2**62
 def _is_day(value: object) -> bool:
     """Whether a value is a day number or a count of days: an integer in [0, 2**62).
 
-    An int skips the isinstance check, which costs a graph row about 0.4 us."""
-    return (type(value) is int or isinstance(value, Integral)) and 0 <= value < _DAY_LIMIT
+    A bool is refused, though it is an Integral.  An int skips the isinstance
+    checks, which cost a graph row about 0.4 us."""
+    return (
+        type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+    ) and 0 <= value < _DAY_LIMIT
 
 
 # =========================================================================
@@ -370,5 +372,8 @@ def _pool_map(fn: Callable, tasks: Sequence, jobs: int) -> list:
         workers = min(workers, len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # Imported only to start a pool: it costs an import of proxtrace.cli about 30 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

@@ -33,6 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -260,7 +261,7 @@ class Registry:
         policy: RegistryPolicy = RegistryPolicy(),
         log_events: bool = True,
     ) -> None:
-        self.policy = policy
+        self._policy = policy
         self._clock = SimClock(0)
         self.otcs: dict[str, Otc] = {}
         self.notifications: list[Notification] = []
@@ -300,11 +301,25 @@ class Registry:
         self._sealed: dict[int, _SealedDay] = {}
         self._min_distance = array("d")
         self._total_duration = array("d")
+        # The exposure column, None until a scan or status check reads it and
+        # again after each seal: entry h counts h's (infected peer, day)
+        # contacts in the window that ends on _exposure_day.  It has counted
+        # the clock day's slots up to _day_ends[_exposure_ends] and every
+        # infected flag as it is now.
+        self._exposure: list[int] | None = None
+        self._exposure_day = 0
+        self._exposure_ends = 0
         self._log_events = log_events
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+
+    @property
+    def policy(self) -> RegistryPolicy:
+        """The registry's policy, read-only: each quarantine window's start and
+        the exposure column's window are derived from it."""
+        return self._policy
 
     @property
     def clock(self) -> SimClock:
@@ -337,7 +352,8 @@ class Registry:
         more entries than the day has rows, so a read indexes it instead of
         searching it; otherwise it lists only the day's owners.  Either way
         a sealed day's size is proportional to its contacts.  The day joins
-        each owner's contact days.
+        each owner's contact days.  The exposure column is dropped: its
+        cursor reads the clock day's _day_ends, which start again here.
         """
         ends = np.frombuffer(self._day_ends, dtype=np.int64)
         for owner in self._today:
@@ -365,6 +381,7 @@ class Registry:
             )
         self._today = {}
         self._day_ends = array("q")
+        self._exposure = None
 
     def _pairs(self, owner: int, day: int) -> tuple[Sequence[int], Sequence[int]]:
         """The peer handles and slots of the owner's contacts on `day`, in
@@ -421,7 +438,7 @@ class Registry:
     def _record(self, handle: int) -> DeviceRecord:
         """The device's columns as a DeviceRecord."""
         end = self._q_end[handle]
-        window = Quarantine(end - self.policy.quarantine_days, end) if end else None
+        window = Quarantine(end - self._policy.quarantine_days, end) if end else None
         return DeviceRecord(self._ids[handle], self._stage[handle], window, self._registered_day[handle])
 
     @property
@@ -460,7 +477,7 @@ class Registry:
         owner = self._handle[device.digest]
         peers, slots = self._pairs(owner, day)
         if owner == brief_of:
-            least, durations = self.policy.min_contact_duration_s, self._total_duration
+            least, durations = self._policy.min_contact_duration_s, self._total_duration
             peers = [peer for peer, slot in zip(peers, slots) if durations[slot] >= least]
         return [self._ids[peer] for peer in sorted(peers, key=self._hexes.__getitem__)]
 
@@ -578,7 +595,12 @@ class Registry:
         otc.consumed = True
         day = self.clock.current_day
         self._stage[handle] = new_stage
-        self._infected[handle] = new_stage is Stage.INFECTED
+        infected = new_stage is Stage.INFECTED
+        if infected is not self._infected[handle] and self._exposure is not None:
+            # The column counts the flag as it was, so it catches up first.
+            self._catch_up()
+            self._shift(handle, 1 if infected else -1)
+        self._infected[handle] = infected
         notes: list[Notification | None] = []
         if new_stage is Stage.INFECTED:
             self._quarantine(handle, day)
@@ -598,8 +620,8 @@ class Registry:
         # Isolation takes effect the day after notification and runs for the
         # policy duration; a later notification replaces a window that ends
         # sooner.  A zero-day policy means notify-only, no isolation window.
-        end = day + 1 + self.policy.quarantine_days
-        if self.policy.quarantine_days and end > self._q_end[handle]:
+        end = day + 1 + self._policy.quarantine_days
+        if self._policy.quarantine_days and end > self._q_end[handle]:
             self._q_end[handle] = end
 
     def quarantine_mask(self, day: int) -> np.ndarray:
@@ -613,7 +635,7 @@ class Registry:
         if not _is_day(day):
             raise ValidationError(f"day {day!r} must be an integer in [0, 2**62)")
         end = np.frombuffer(self._q_end, dtype=np.int64)
-        return (day < end) & (end <= int(day) + self.policy.quarantine_days)
+        return (day < end) & (end <= int(day) + self._policy.quarantine_days)
 
     # ------------------------------------------------------------------
     # encounters and scans
@@ -634,13 +656,13 @@ class Registry:
                 raise UnknownDeviceError("both encounter endpoints must be registered")
             if left_handle == right_handle:
                 raise ValidationError("device cannot meet itself")
-            if not 0 < distance <= self.policy.bluetooth_range_m:
+            if not 0 < distance <= self._policy.bluetooth_range_m:
                 raise ValidationError(
-                    f"distance {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
+                    f"distance {distance} m outside (0, {self._policy.bluetooth_range_m}] m"
                 )
             distance = float(distance)
             if duration is None:
-                dur = self.policy.encounter_duration_s
+                dur = self._policy.encounter_duration_s
             elif 0 <= duration <= _FLOAT_MAX:
                 dur = float(duration)
             else:
@@ -714,16 +736,16 @@ class Registry:
             logged = []
             registered = []
             for peer, distance in neighbors:
-                if not 0 < distance <= self.policy.bluetooth_range_m:
+                if not 0 < distance <= self._policy.bluetooth_range_m:
                     raise ValidationError(
-                        f"neighbor at {distance} m outside (0, {self.policy.bluetooth_range_m}] m"
+                        f"neighbor at {distance} m outside (0, {self._policy.bluetooth_range_m}] m"
                     )
                 handle = self._handle.get(peer.digest)
                 logged.append([peer.hex if handle is None else hexes[handle], distance])
                 if handle is not None and handle != own:
                     registered.append((handle, float(distance)))
             day = self.clock.current_day
-            duration = self.policy.encounter_duration_s
+            duration = self._policy.encounter_duration_s
             # Every sum the bookings below make is checked before the first one.
             booked = dict(zip(*self._pairs(own, day)))
             durations = self._total_duration
@@ -752,21 +774,62 @@ class Registry:
         """Category of one observed neighbor, judged on current knowledge."""
         if self._infected[handle]:
             return 0  # infected
-        if self._met_infected(handle, day):
+        exposure = self._exposure_on(day)
+        if exposure[handle]:
             return 1  # contact of an infected device within the window
-        for d in range(day - self.policy.contact_window_days, day + 1):
-            for peer in self._pairs(handle, d)[0]:
-                if self._met_infected(peer, day):
-                    return 2  # contact of a category-B device within the window
+        met_infected = exposure.__getitem__
+        for d in self._window(day):
+            if any(map(met_infected, self._pairs(handle, d)[0])):
+                return 2  # contact of a category-B device within the window
         return 3
 
-    def _met_infected(self, handle: int, day: int) -> bool:
-        """Whether the device met an infected device in the window ending on `day`."""
-        is_infected = self._infected.__getitem__
-        for d in range(day - self.policy.contact_window_days, day + 1):
-            if any(map(is_infected, self._pairs(handle, d)[0])):
-                return True
-        return False
+    def _window(self, day: int) -> range:
+        """The days of the contact window ending on `day`; none is negative,
+        so a window of up to 2**62 days ending early is a short range."""
+        return range(max(day - self._policy.contact_window_days, 0), day + 1)
+
+    def _exposure_on(self, day: int) -> list[int]:
+        """The exposure column of the window ending on `day`: entry h is
+        nonzero when h met a device that is infected now in that window.
+
+        The first read for a day builds it from the infected devices' window
+        rows; a read for another day builds it again.  A later read catches
+        it up first, if a slot was booked or a device registered since.
+        """
+        exposure = self._exposure
+        if exposure is None or self._exposure_day != day:
+            exposure = self._exposure = [0] * len(self._ids)
+            self._exposure_day = day
+            self._exposure_ends = len(self._day_ends)
+            for handle in compress(range(len(self._ids)), self._infected):
+                self._shift(handle, 1)
+        elif self._exposure_ends != len(self._day_ends) or len(exposure) != len(self._ids):
+            self._catch_up()
+        return exposure
+
+    def _catch_up(self) -> None:
+        """Count into the exposure column the devices registered and the clock
+        day's slots booked since it last read them, under the flags as they are."""
+        exposure = self._exposure
+        exposure += [0] * (len(self._ids) - len(exposure))
+        ends = self._day_ends
+        if self._clock.current_day in self._window(self._exposure_day):
+            infected = self._infected
+            for k in range(self._exposure_ends, len(ends), 2):
+                left, right = ends[k], ends[k + 1]
+                if infected[left]:
+                    exposure[right] += 1
+                if infected[right]:
+                    exposure[left] += 1
+        self._exposure_ends = len(ends)
+
+    def _shift(self, handle: int, delta: int) -> None:
+        """Move the exposure count of each of the device's peers in the
+        column's window by delta, as the device's infected flag flips."""
+        exposure = self._exposure
+        for d in self._window(self._exposure_day):
+            for peer in self._pairs(handle, d)[0]:
+                exposure[peer] += delta
 
     # ------------------------------------------------------------------
     # status checker
@@ -791,7 +854,7 @@ class Registry:
         self._last_checked[handle] = stage
         if stage is Stage.INFECTED and previous is not Stage.INFECTED:
             note = self._emit(device, NotificationKind.STATUS_POSITIVE)
-        elif self._met_infected(handle, day):
+        elif self._exposure_on(day)[handle]:
             note = self._emit(device, NotificationKind.CONTACT_AT_RISK)
         else:
             note = None

@@ -101,11 +101,11 @@ class SimConfig:
     encounter_duration_s: float = 300.0
 
     def __post_init__(self) -> None:
-        # Checked first, as the range checks compare them; numpy integers are
-        # stored as int, which random.Random accepts as a seed.
+        # Checked first, as the range checks compare them; a bool is refused, and
+        # numpy integers are stored as int, which random.Random accepts as a seed.
         for name in _INTEGRAL_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValidationError(f"invalid value for config field {name!r}")
             object.__setattr__(self, name, int(value))
         checks = [

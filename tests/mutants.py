@@ -59,6 +59,18 @@ SEAL_TESTS = (
     "tests/test_protocol.py::TestRegistryMachine::runTest",
 )
 
+# The exposure column's direct tests and the scan categories against the
+# reference walk.
+EXPOSURE_TESTS = tuple(f"tests/test_protocol.py::test_{name}" for name in (
+    "a_past_day_read_after_a_clock_day_build",
+    "a_scan_s_own_booking_makes_a_neighbour_category_b",
+    "a_recovery_drops_a_neighbour_to_d",
+    "a_registration_after_the_build",
+    "the_longest_window_is_read_in_time",
+    "a_column_read_for_a_later_day_is_dropped_at_the_seal",
+    "categories_match_the_reference_on_random_graphs",
+))
+
 # A registry cascade against the trace oracle over the public contact graph.
 CASCADE_TESTS = ("tests/test_protocol.py::test_cascade_agrees_with_trace_oracle",)
 
@@ -150,22 +162,58 @@ MUTANTS = (
     Mutant(
         "infected-flag-kept-on-recovery",
         "src/proxtrace/protocol.py",
-        "self._infected[handle] = new_stage is Stage.INFECTED",
-        "self._infected[handle] |= new_stage is Stage.INFECTED",
+        "self._infected[handle] = infected",
+        "self._infected[handle] |= infected",
         ("tests/test_protocol.py::test_categories_match_the_reference_on_random_graphs",),
+    ),
+    Mutant(
+        "exposure-catch-up-skipped",
+        "src/proxtrace/protocol.py",
+        "len(exposure) != len(self._ids):\n            self._catch_up()",
+        "len(exposure) != len(self._ids):\n            pass",
+        EXPOSURE_TESTS,
+    ),
+    Mutant(
+        "exposure-flip-applied-before-catch-up",
+        "src/proxtrace/protocol.py",
+        "            self._catch_up()\n            self._shift(handle, 1 if infected else -1)\n",
+        "            self._infected[handle] = infected\n"
+        "            self._catch_up()\n            self._shift(handle, 1 if infected else -1)\n",
+        EXPOSURE_TESTS,
+    ),
+    Mutant(
+        "exposure-column-kept-across-a-seal",
+        "src/proxtrace/protocol.py",
+        "        self._day_ends = array(\"q\")\n        self._exposure = None\n",
+        "        self._day_ends = array(\"q\")\n",
+        EXPOSURE_TESTS,
+    ),
+    Mutant(
+        "exposure-catch-up-counts-one-endpoint",
+        "src/proxtrace/protocol.py",
+        "                if infected[right]:\n                    exposure[left] += 1\n",
+        "",
+        EXPOSURE_TESTS,
+    ),
+    Mutant(
+        "exposure-window-one-day-short",
+        "src/proxtrace/protocol.py",
+        "range(max(day - self._policy.contact_window_days, 0), day + 1)",
+        "range(max(day - self._policy.contact_window_days + 1, 0), day + 1)",
+        EXPOSURE_TESTS,
     ),
     Mutant(
         "record-window-start-off-by-one",
         "src/proxtrace/protocol.py",
-        "Quarantine(end - self.policy.quarantine_days, end)",
-        "Quarantine(end - self.policy.quarantine_days + 1, end)",
+        "Quarantine(end - self._policy.quarantine_days, end)",
+        "Quarantine(end - self._policy.quarantine_days + 1, end)",
         ("tests/test_protocol.py::test_later_cascade_extends_quarantine",),
     ),
     Mutant(
         "mask-misses-a-window-s-first-day",
         "src/proxtrace/protocol.py",
-        "(end <= int(day) + self.policy.quarantine_days)",
-        "(end < int(day) + self.policy.quarantine_days)",
+        "(end <= int(day) + self._policy.quarantine_days)",
+        "(end < int(day) + self._policy.quarantine_days)",
         ("tests/test_protocol.py::test_quarantine_mask_matches_each_record",),
     ),
     Mutant(

@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, manifests, determinism."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -564,7 +565,7 @@ def test_pool_asks_for_at_most_jobs_tasks_and_cpus(tmp_path, monkeypatch, capsys
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(core, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)))
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
@@ -1219,6 +1220,22 @@ def test_no_command_loads_scipy(tmp_path):
         "import": False, "curve": False, "trace": False, "replay": False, "simulate": False,
     }
     assert (tmp_path / "sim.csv").read_text().count("\n") > 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures is imported only by a pool that starts: at --jobs 1
+    # no command pays for it, and the import of the CLI does not
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import json, sys; import proxtrace.cli; "
+        "print(json.dumps([m in sys.modules for m in ('concurrent.futures', 'concurrent.futures.process')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False]
 
 
 def test_console_script_is_installed():

@@ -108,7 +108,7 @@ def test_quarantine_window_semantics():
 
 def test_contact_record_validation():
     peer = device("peer")
-    for day in (-1, 1.5, 1.0, "3", None, 2**62):
+    for day in (-1, 1.5, 1.0, "3", None, 2**62, True):
         with pytest.raises(ValidationError, match="contact day"):
             ContactRecord(peer, day=day, distance=1.0, duration=0.0)
     with pytest.raises(ValidationError):
@@ -189,10 +189,10 @@ def test_clock_is_monotonic():
 
 @pytest.mark.parametrize(
     "day",
-    [2.5, 3.0, float("nan"), float("inf"), "3", None, np.float64(3.0), np.int64(-1), 2**62],
+    [2.5, 3.0, float("nan"), float("inf"), "3", None, np.float64(3.0), np.int64(-1), 2**62, True],
     ids=[
         "fraction", "whole-float", "nan", "inf", "text", "none", "numpy-float", "numpy-negative",
-        "past-the-bound",
+        "past-the-bound", "bool",
     ],
 )
 def test_a_clock_day_is_a_non_negative_integer(day):

@@ -58,7 +58,7 @@ from proxtrace.protocol import (
     read_event_log,
     write_event_log,
 )
-from proxtrace.risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig
+from proxtrace.risk import DEFAULT_WEIGHTS, RiskClass, WeightConfig, classify, score_from_arrays
 from proxtrace.tracing import trace_co_contacts
 
 CRED = "clinic"
@@ -421,7 +421,19 @@ def test_a_window_at_the_day_bound_stays_exact(tmp_path):
     assert replayed.state_digest() == reg.state_digest()
 
 
-@pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64, 2**62])
+def test_a_registry_s_policy_is_read_only():
+    # a window's start and the exposure column's window are derived from the policy
+    reg = make_registry()
+    a = enroll(reg, "a")
+    reg.update_status(reg.issue_otc(CRED).code, a, Stage.INFECTED)
+    with pytest.raises(AttributeError):
+        reg.policy = RegistryPolicy(quarantine_days=3)
+    assert reg.policy == RegistryPolicy()
+    assert reg.devices[a].quarantine == Quarantine(1, 11)
+    assert reg.quarantine_mask(1).tolist() == [True]
+
+
+@pytest.mark.parametrize("day", [1.0, 2.5, "3", None, -1, 2**63 - 1, 2**64, 2**62, True])
 def test_quarantine_mask_rejects_a_day_it_cannot_answer(day):
     reg = make_registry()
     enroll(reg, "a")
@@ -723,7 +735,7 @@ def test_sealing_a_day_changes_no_read(tmp_path):
     handle = reg._handle[late.digest]
     assert reg.contact_list(late).records == ()
     assert all(reg._peers_on(late, day) == [] for day in range(8))
-    assert not reg._met_infected(handle, 2)
+    assert not reg._exposure_on(2)[handle]
     assert reg._categorize(handle, 2) == 3
 
 
@@ -1533,6 +1545,8 @@ def test_a_cascade_builds_no_contact_value(value_builds):
         ("contact_window_days", 1.5),
         pytest.param("quarantine_days", 2**62, id="quarantine_days-2**62"),
         pytest.param("contact_window_days", 2**62, id="contact_window_days-2**62"),
+        ("quarantine_days", True),
+        ("contact_window_days", True),
         ("bluetooth_range_m", 0.0),
         ("bluetooth_range_m", -1.0),
         ("bluetooth_range_m", float("inf")),
@@ -1868,6 +1882,98 @@ def test_categories_match_the_reference_on_random_graphs(window, stages, events)
     for day in range(last_day + 1, last_day + window + 2):  # contacts age out of the window
         reg.advance_clock(SimClock(day))
         check()
+
+
+def exposure_registry(count: int) -> tuple[Registry, list[DeviceId]]:
+    # the default policy: a contact stays in the window for two more days
+    reg = make_registry(log_events=False)
+    return reg, [enroll(reg, f"exposure-{i}") for i in range(count)]
+
+
+def assert_categories_match(reg: Registry, day: int) -> list[int]:
+    """Every device's category on `day`, checked against the reference walk."""
+    categories = [reg._categorize(reg._handle[d.digest], day) for d in reg.devices]
+    assert categories == [reference_category(reg, d, day) for d in reg.devices]
+    return categories
+
+
+def report(reg: Registry, device: DeviceId, stage: Stage = Stage.INFECTED) -> None:
+    reg.update_status(reg.issue_otc(CRED).code, device, stage)
+
+
+def test_a_past_day_read_after_a_clock_day_build():
+    reg, (a, b, c, d) = exposure_registry(4)
+    report(reg, a)
+    reg.record_encounter(a, b, 1.0)  # day 0: b meets the infected a
+    reg.advance_clock(SimClock(2))
+    reg.record_encounter(b, c, 1.0)  # day 2: c meets b
+    reg.advance_clock(SimClock(3))
+    reg.record_encounter(c, d, 1.0)
+    # on day 3, day 0 is out of the window: only a is not D
+    assert assert_categories_match(reg, 3) == [0, 3, 3, 3]
+    # day 2's window still holds day 0's contact, read through the same column
+    assert assert_categories_match(reg, 2) == [0, 1, 2, 3]
+    assert assert_categories_match(reg, 0) == [0, 1, 3, 3]
+    assert assert_categories_match(reg, 3) == [0, 3, 3, 3]
+
+
+def test_a_scan_s_own_booking_makes_a_neighbour_category_b():
+    reg, (a, b, c, s) = exposure_registry(4)
+    report(reg, a)
+    reg.scan_handshake(s, [(b, 2.0)])  # builds the clock day's column
+    handle_c = reg._handle[c.digest]
+    assert reg._categorize(handle_c, 0) == 3
+    # the infected a's scan books a-c before it scores c
+    result = reg.scan_handshake(a, [(c, 2.0)])
+    assert result.risk_class is classify(score_from_arrays([1], [2.0], DEFAULT_WEIGHTS))
+    assert assert_categories_match(reg, 0) == [0, 3, 1, 3]
+
+
+def test_a_recovery_drops_a_neighbour_to_d():
+    reg, (a, b, s) = exposure_registry(3)
+    reg.scan_handshake(s, [(b, 2.0)])  # the column is built before a-b is booked
+    reg.record_encounter(a, b, 1.0)
+    report(reg, a)
+    assert assert_categories_match(reg, 0) == [0, 1, 2]
+    report(reg, a, Stage.RECOVERED)
+    assert assert_categories_match(reg, 0) == [3, 3, 3]
+    reg.advance_clock(SimClock(1))
+    assert assert_categories_match(reg, 1) == [3, 3, 3]
+
+
+def test_a_registration_after_the_build():
+    reg, (a, b) = exposure_registry(2)
+    report(reg, a)
+    assert assert_categories_match(reg, 0) == [0, 3]
+    late = enroll(reg, "late")
+    sick = reg.register_user(reg.issue_otc(CRED).code, "late-sick", Stage.INFECTED).device
+    assert assert_categories_match(reg, 0) == [0, 3, 3, 0]
+    reg.record_encounter(late, a, 1.0)
+    reg.record_encounter(sick, b, 1.0)
+    assert assert_categories_match(reg, 0) == [0, 1, 1, 0]
+
+
+def test_the_longest_window_is_read_in_time():
+    # a window of 2**62 - 1 days ending on day 5 holds six days, not 2**62
+    reg = make_registry(policy=RegistryPolicy(contact_window_days=2**62 - 1), log_events=False)
+    a, b, c = (enroll(reg, tag) for tag in "abc")
+    report(reg, a)
+    reg.record_encounter(a, b, 1.0)
+    reg.advance_clock(SimClock(5))
+    reg.record_encounter(b, c, 1.0)
+    assert reg.scan_handshake(c, [(b, 2.0)]).risk_class is not None
+    assert assert_categories_match(reg, 5) == [0, 1, 2]
+    assert reg.status_checker_tick(b).kind is NotificationKind.CONTACT_AT_RISK
+
+
+def test_a_column_read_for_a_later_day_is_dropped_at_the_seal():
+    reg, (a, b, c) = exposure_registry(3)
+    report(reg, a)
+    reg.record_encounter(b, c, 1.0)
+    assert assert_categories_match(reg, 1) == [0, 3, 3]  # a column for day 1, built on day 0
+    reg.advance_clock(SimClock(1))  # day 1's bookings start a fresh _day_ends
+    reg.record_encounter(a, c, 1.0)
+    assert assert_categories_match(reg, 1) == [0, 2, 1]
 
 
 class RegistryMachine(RuleBasedStateMachine):

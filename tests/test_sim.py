@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxtrace.core import Stage
@@ -80,7 +80,7 @@ def test_config_rejects_sizes_past_the_engine_s_representations(field, value):
         "quarantine_days", "infectious_period", "max_days", "seed",
     ],
 )
-@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None, True])
 def test_config_rejects_a_count_or_day_that_is_not_an_integer(field, value):
     # a float population or max_days reached numpy as a bare TypeError, and a
     # float symptom_onset_delay ran with a fractional detection lag
@@ -459,6 +459,10 @@ def point_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(point_sets())
+# points 1 and 2 are one rounding step less than r apart, yet cells exactly r wide
+# would put them two cells apart
+@example((np.array([(-1768.9586661839917, 0.0), (1122.723016767797, 0.0), (1701.0593533581546, 0.0)]),
+          578.3363365903577))
 def test_pairs_within_matches_brute_force(case):
     points, r = case
     assert grid_pairs(points, r) == brute_pairs(points, r)
